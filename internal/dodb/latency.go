@@ -65,7 +65,7 @@ func (lt *LatencyTracker) Record(latency, now time.Duration) {
 		}
 	}
 	lt.histCounts[b]++
-	//ecllint:allow hotpath amortized window growth; compaction in evict reuses the backing array
+	//ecllint:allow hotpath grows only while the window outgrows the array; evict compacts it in place
 	lt.samples = append(lt.samples, latencySample{at: now, latency: latency, bucket: b})
 	lt.winSum += latency
 	lt.total++
@@ -94,10 +94,13 @@ func (lt *LatencyTracker) evict(now time.Duration) {
 		lt.winSum -= lt.samples[lt.head].latency
 		lt.head++
 	}
-	// Compact occasionally to bound memory.
+	// Compact in place once more than half of the array (and over 4096
+	// samples) is evicted: the live suffix moves to the front of the same
+	// array, in order, so Record's append refills it without growing. The
+	// half rule keeps the copy amortised O(1) per sample.
 	if lt.head > 4096 && lt.head*2 > len(lt.samples) {
-		//ecllint:allow hotpath compaction runs once per ~4096 samples, amortized to near zero
-		lt.samples = append([]latencySample(nil), lt.samples[lt.head:]...)
+		n := copy(lt.samples, lt.samples[lt.head:])
+		lt.samples = lt.samples[:n]
 		lt.head = 0
 	}
 }

@@ -1,6 +1,7 @@
 package dodb
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -84,5 +85,175 @@ func TestLatencyTrackerCompaction(t *testing.T) {
 	}
 	if lt.Total() != 20000 {
 		t.Errorf("Total = %d", lt.Total())
+	}
+}
+
+// naiveWindow is the rescan reference for the tracker: every sample ever
+// recorded, with the window recomputed from scratch on each query.
+type naiveWindow struct {
+	window time.Duration
+	at     []time.Duration
+	lat    []time.Duration
+}
+
+func (nw *naiveWindow) in(now time.Duration) (at, lat []time.Duration) {
+	cutoff := now - nw.window
+	i := 0
+	for i < len(nw.at) && nw.at[i] < cutoff {
+		i++
+	}
+	return nw.at[i:], nw.lat[i:]
+}
+
+func (nw *naiveWindow) average(now time.Duration) time.Duration {
+	_, lat := nw.in(now)
+	if len(lat) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, l := range lat {
+		sum += l
+	}
+	return sum / time.Duration(len(lat))
+}
+
+func (nw *naiveWindow) percentile(now time.Duration, p float64) time.Duration {
+	_, lat := nw.in(now)
+	if len(lat) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), lat...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := int(p*float64(len(sorted))) - 1
+	idx = max(0, min(idx, len(sorted)-1))
+	return sorted[idx]
+}
+
+// trend sums oldest to newest, the order the tracker's window holds.
+func (nw *naiveWindow) trend(now time.Duration) float64 {
+	at, lat := nw.in(now)
+	if len(at) < 2 {
+		return 0
+	}
+	var sx, sy, sxx, sxy float64
+	for i := range at {
+		x, y := at[i].Seconds(), lat[i].Seconds()
+		sx += x
+		sy += y
+		sxx += x * x
+		sxy += x * y
+	}
+	n := float64(len(at))
+	den := n*sxx - sx*sx
+	if den == 0 {
+		return 0
+	}
+	return (n*sxy - sx*sy) / den
+}
+
+// slidingLatency is the latency of the i-th sample of the constant-rate
+// streams below: a deterministic sawtooth with no two neighbours equal.
+func slidingLatency(i int) time.Duration {
+	return time.Duration(1+(i*7919)%50000) * time.Microsecond
+}
+
+// A constant-rate stream over a window of ~3000 samples crosses the
+// 4096-sample compaction threshold many times. The in-place compaction
+// must keep the window's order exactly: Average, Percentile and Trend
+// equal a from-scratch rescan bit for bit on both sides of every
+// compaction, and the backing array stops growing once warm.
+func TestLatencyTrackerCompactionMatchesRescan(t *testing.T) {
+	const (
+		step   = 100 * time.Microsecond
+		window = 300 * time.Millisecond // 3000 samples at this rate
+		n      = 60000
+	)
+	lt := NewLatencyTracker(window)
+	ref := &naiveWindow{window: window}
+	compactions, maxCap, capAtWarm := 0, 0, 0
+	for i := 0; i < n; i++ {
+		now := time.Duration(i) * step
+		lat := slidingLatency(i)
+		headBefore := lt.head
+		lt.Record(lat, now)
+		ref.at = append(ref.at, now)
+		ref.lat = append(ref.lat, lat)
+		if lt.head < headBefore {
+			compactions++
+		}
+		maxCap = max(maxCap, cap(lt.samples))
+		if i == n/4 {
+			capAtWarm = cap(lt.samples)
+		}
+		// Check every query around each compaction and a sparse sample
+		// elsewhere (the rescan reference is O(window) per query).
+		if lt.head >= headBefore && i%997 != 0 {
+			continue
+		}
+		if got, want := lt.Average(now), ref.average(now); got != want {
+			t.Fatalf("sample %d: Average = %v, rescan %v", i, got, want)
+		}
+		for _, p := range []float64{0.5, 0.95, 0.99} {
+			if got, want := lt.Percentile(now, p), ref.percentile(now, p); got != want {
+				t.Fatalf("sample %d: P%v = %v, rescan %v", i, p*100, got, want)
+			}
+		}
+		if got, want := lt.Trend(now), ref.trend(now); got != want {
+			t.Fatalf("sample %d: Trend = %v, rescan %v (must be bit-identical)", i, got, want)
+		}
+		if _, lat := ref.in(now); lt.Count(now) != len(lat) {
+			t.Fatalf("sample %d: Count = %d, rescan %d", i, lt.Count(now), len(lat))
+		}
+	}
+	if compactions < 5 {
+		t.Fatalf("only %d compactions in %d samples; threshold not exercised", compactions, n)
+	}
+	if maxCap != capAtWarm {
+		t.Fatalf("window array grew from cap %d to %d after warm-up; compaction must reuse it", capAtWarm, maxCap)
+	}
+	if maxCap > 4*8192 {
+		t.Fatalf("window array cap %d for a ~3000-sample window", maxCap)
+	}
+}
+
+// Once warm, recording into a sliding window allocates nothing: the
+// compaction copies into the same array Record appends to.
+func TestLatencyTrackerRecordAllocatesNothing(t *testing.T) {
+	const step = 100 * time.Microsecond
+	lt := NewLatencyTracker(300 * time.Millisecond)
+	i := 0
+	record := func() {
+		lt.Record(slidingLatency(i), time.Duration(i)*step)
+		i++
+	}
+	for i < 50000 { // several compaction cycles to reach the steady cap
+		record()
+	}
+	// One measured run spanning several compactions: AllocsPerRun floors
+	// the per-run mean, which would round one reallocation per ~4100
+	// records away.
+	allocs := testing.AllocsPerRun(1, func() {
+		for j := 0; j < 20000; j++ {
+			record()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("20000 sliding-window Records allocate %.0f times, want 0", allocs)
+	}
+}
+
+// BenchmarkLatencyTrackerRecord measures Record on a sliding window at a
+// constant rate, the engine's per-completed-query path: ~3000 samples in
+// the window, compacting every ~4100 samples.
+func BenchmarkLatencyTrackerRecord(b *testing.B) {
+	const step = 100 * time.Microsecond
+	lt := NewLatencyTracker(300 * time.Millisecond)
+	for i := 0; i < 50000; i++ {
+		lt.Record(slidingLatency(i), time.Duration(i)*step)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 50000; i < 50000+b.N; i++ {
+		lt.Record(slidingLatency(i), time.Duration(i)*step)
 	}
 }

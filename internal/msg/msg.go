@@ -73,32 +73,75 @@ type Message struct {
 	Hop bool
 }
 
-// queue is a FIFO of messages for one partition with an ownership flag.
-type queue struct {
-	partition int
-	scanIdx   int // index in the hub's scan order (ready-bitmask bit)
-	msgs      []*Message
-	head      int
-	owner     int // worker token holding the partition, or -1
+// fifo is a message FIFO over one reused backing array: head indexes the
+// oldest pending message, and consumed slots before it are reclaimed in
+// place. Both the partition queues and the outbound buffers use it, so a
+// standing backlog recycles one array instead of reallocating.
+type fifo struct {
+	msgs []*Message
+	head int
 }
 
-func (q *queue) len() int { return len(q.msgs) - q.head }
+func (f *fifo) len() int { return len(f.msgs) - f.head }
 
-//ecllint:allow hotpath amortized growth; compaction in pop reuses the backing array
-func (q *queue) push(m *Message) { q.msgs = append(q.msgs, m) }
+// push appends m. When the array is full and at least half of it is
+// consumed, the pending suffix is first copied to the front of the same
+// array. The half rule keeps push amortised O(1): each compaction moves at
+// most as many messages as were consumed since the last one. Compacting on
+// every full push would make a mostly-pending array O(n) per push; below
+// the half mark append grows the array instead.
+func (f *fifo) push(m *Message) {
+	if len(f.msgs) == cap(f.msgs) && f.head > 0 && 2*f.head >= len(f.msgs) {
+		n := copy(f.msgs, f.msgs[f.head:])
+		clear(f.msgs[n:])
+		f.msgs = f.msgs[:n]
+		f.head = 0
+	}
+	//ecllint:allow hotpath grows only while the backlog exceeds half the array; push otherwise compacts in place
+	f.msgs = append(f.msgs, m)
+}
 
-func (q *queue) pop() *Message {
-	if q.head >= len(q.msgs) {
+// pop removes and returns the oldest message, or nil when empty. The
+// vacated slot is cleared, and an emptied FIFO rewinds to the front of
+// its array.
+func (f *fifo) pop() *Message {
+	if f.head >= len(f.msgs) {
 		return nil
 	}
-	m := q.msgs[q.head]
-	q.msgs[q.head] = nil
-	q.head++
-	if q.head == len(q.msgs) {
-		q.msgs = q.msgs[:0]
-		q.head = 0
+	m := f.msgs[f.head]
+	f.msgs[f.head] = nil
+	f.head++
+	if f.head == len(f.msgs) {
+		f.msgs = f.msgs[:0]
+		f.head = 0
 	}
 	return m
+}
+
+// take removes up to max of the oldest messages (max <= 0 means all) and
+// returns them as a view into the backing array: no copy is made. The
+// view stays valid until the next push. An emptied FIFO rewinds to the
+// front of its array.
+func (f *fifo) take(max int) []*Message {
+	n := f.len()
+	if max > 0 && max < n {
+		n = max
+	}
+	out := f.msgs[f.head : f.head+n : f.head+n]
+	f.head += n
+	if f.head == len(f.msgs) {
+		f.msgs = f.msgs[:0]
+		f.head = 0
+	}
+	return out
+}
+
+// queue is the FIFO of messages for one partition with an ownership flag.
+type queue struct {
+	fifo
+	partition int
+	scanIdx   int // index in the hub's scan order (ready-bitmask bit)
+	owner     int // worker token holding the partition, or -1
 }
 
 // NoOwner marks an unowned partition queue.
@@ -115,9 +158,12 @@ type Hub struct {
 	scan       []*queue // queues in scan order (parallel to order)
 	order      []int    // partition scan order for fairness
 	scanCursor int
-	outbound   map[int][]*Message // per remote socket
-	outTotal   int                // messages across all outbound buffers
-	pending    int                // local messages waiting
+	// outbound holds one persistent FIFO per remote socket, indexed by
+	// socket and grown on the first message toward it. Drained FIFOs are
+	// rewound, never dropped, so their arrays are reused.
+	outbound []fifo
+	outTotal int // messages across all outbound buffers
+	pending  int // local messages waiting
 	// ready is a bitmask over scan indices: bit i is set exactly when
 	// scan[i] is unowned and has pending messages, so Acquire finds the
 	// next serveable partition with two bit scans instead of a loop over
@@ -131,7 +177,6 @@ type Hub struct {
 func NewHub(socket int, partitions []int) *Hub {
 	h := &Hub{
 		socket:   socket,
-		outbound: make(map[int][]*Message),
 		useReady: len(partitions) <= 64,
 	}
 	maxPart := -1
@@ -202,37 +247,39 @@ func (h *Hub) EnqueueLocal(m *Message) error {
 // EnqueueRemote buffers a message for the communication endpoint toward a
 // remote socket.
 func (h *Hub) EnqueueRemote(remoteSocket int, m *Message) {
-	//ecllint:allow hotpath outbound buffer growth is amortized; DrainOutbound keeps the backing array
-	h.outbound[remoteSocket] = append(h.outbound[remoteSocket], m)
+	for remoteSocket >= len(h.outbound) {
+		//ecllint:allow hotpath one slot per remote socket, added on the first message toward it
+		h.outbound = append(h.outbound, fifo{})
+	}
+	h.outbound[remoteSocket].push(m)
 	h.outTotal++
 }
 
 // DrainOutbound removes and returns up to max buffered messages for a
-// remote socket (max <= 0 means all).
+// remote socket (max <= 0 means all). The result is a view into the
+// hub's outbound buffer, valid until the next EnqueueRemote toward the
+// same socket; a partial drain advances the buffer's head and copies
+// nothing.
 func (h *Hub) DrainOutbound(remoteSocket int, max int) []*Message {
-	buf := h.outbound[remoteSocket]
-	if len(buf) == 0 {
+	if remoteSocket < 0 || remoteSocket >= len(h.outbound) {
 		return nil
 	}
-	n := len(buf)
-	if max > 0 && max < n {
-		n = max
+	out := h.outbound[remoteSocket].take(max)
+	if len(out) == 0 {
+		return nil
 	}
-	h.outTotal -= n
-	out := buf[:n:n]
-	rest := buf[n:]
-	if len(rest) == 0 {
-		delete(h.outbound, remoteSocket)
-	} else {
-		//ecllint:allow hotpath only a bandwidth-capped partial drain re-buffers the remainder; a full drain (the steady state) frees the slot without copying
-		h.outbound[remoteSocket] = append([]*Message(nil), rest...)
-	}
+	h.outTotal -= len(out)
 	return out
 }
 
 // OutboundLen returns the number of messages buffered toward a remote
 // socket.
-func (h *Hub) OutboundLen(remoteSocket int) int { return len(h.outbound[remoteSocket]) }
+func (h *Hub) OutboundLen(remoteSocket int) int {
+	if remoteSocket < 0 || remoteSocket >= len(h.outbound) {
+		return 0
+	}
+	return h.outbound[remoteSocket].len()
+}
 
 // OutboundTotal returns the number of messages buffered toward all remote
 // sockets. O(1); the communication endpoints consult it to skip empty

@@ -102,6 +102,8 @@ type tatpPartition struct {
 	// range queries over a subscriber's forwarding window.
 	cfTree *storage.BTree
 	nextCF int64
+	// rowBuf is the reused scratch the subscriber-row reads fill.
+	rowBuf []int64
 }
 
 // NewPartition implements Workload.
@@ -191,7 +193,7 @@ func (w *TATP) NewQuery(rng *rand.Rand, parts int) []Op {
 	case tatpGetSubscriberData, tatpGetAccessData:
 		return []Op{lookup(1, func(tp *tatpPartition) {
 			if row, ok := subRow(tp); ok {
-				tp.subscriber.GetRow(row, nil)
+				tp.rowBuf = tp.subscriber.GetRow(row, tp.rowBuf[:0])
 			}
 		})}
 	case tatpGetNewDestination:
