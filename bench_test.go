@@ -269,16 +269,16 @@ func BenchmarkAppendixProfiles(b *testing.B) {
 // cell (kv-indexed x twitter, 30 s profile) run strictly sequentially:
 // a baseline run followed by an ECL run on one goroutine, capacity probe
 // memoized and warmed before timing. This is the headline metric of the
-// epoch-keyed step-kernel cache; the NoMemo variant below runs the same
-// cell on the naive reference step path, so the pair reads the speedup
+// production step path; the Reference variant below runs the same cell
+// on the per-quantum reference walk, so the pair reads the speedup
 // directly off a BENCH_*.json snapshot. Both run in -short mode.
 func BenchmarkTable1RowSingleRun(b *testing.B) { benchTable1Row(b, false) }
 
-// BenchmarkTable1RowSingleRunNoMemo is the reference point: the same
-// sequential Table 1 cell with the kernel cache and macro-stepping
-// disabled (the eclsim -nomemo path). Results are byte-identical to the
-// cached path — only the wall time differs.
-func BenchmarkTable1RowSingleRunNoMemo(b *testing.B) { benchTable1Row(b, true) }
+// BenchmarkTable1RowSingleRunReference is the reference point: the same
+// sequential Table 1 cell on the per-quantum reference walk (the eclsim
+// -reference path). Only the wall time differs materially — floats agree
+// with the production path within 1e-9 relative.
+func BenchmarkTable1RowSingleRunReference(b *testing.B) { benchTable1Row(b, true) }
 
 // BenchmarkTable1RowSingleRunAttr is the same cell with the energy
 // attribution meter attached to the ECL run. The pair with the plain
@@ -299,11 +299,11 @@ func BenchmarkTable1RowSingleRunAttr(b *testing.B) {
 	}
 }
 
-func benchTable1Row(b *testing.B, naive bool) {
+func benchTable1Row(b *testing.B, reference bool) {
 	sequentially(b)
-	if naive {
-		sim.SetNaiveStep(true)
-		b.Cleanup(func() { sim.SetNaiveStep(false) })
+	if reference {
+		sim.SetReference(true)
+		b.Cleanup(func() { sim.SetReference(false) })
 	}
 	// Warm the memoized capacity probe so timing covers only the runs.
 	if _, err := bench.MeasureCapacity(workload.ByName("kv-indexed"), 21); err != nil {

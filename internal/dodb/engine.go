@@ -168,7 +168,9 @@ type Engine struct {
 	// prevActive tracks the per-socket active worker count of the
 	// previous step for sleep/wake transition events.
 	prevActive []int
-	obsOn      bool
+	// noActive is the all-zero active count ObserveParked reports.
+	noActive []int
+	obsOn    bool
 
 	// Query tracing (nil tracer = disabled; see internal/obs/trace).
 	// asleepNS accumulates, per socket, virtual time during which the
@@ -334,10 +336,12 @@ func (e *Engine) CharacteristicsEpoch() uint64 {
 
 // Quiescent reports whether the engine holds no work whatsoever: no
 // queries in flight, no undelivered messages, no budget debt carried by
-// any worker, every socket's last reported utilization zero, and (when
-// observability is attached) no worker counted as awake. In this state a
-// Step with zero offered load has no effect beyond re-deriving the same
-// zeros, which is what licenses the simulation's macro-step fast path.
+// any worker, and every socket's last reported utilization zero. In this
+// state a Step with zero offered load has no effect beyond re-deriving the
+// same zeros and the worker observation — which the fast-forward paths
+// reproduce (IdleQuantum, IdleStretch, ObserveParked) — so it licenses the
+// simulation's quiescent fast paths whether or not an observer is
+// attached.
 func (e *Engine) Quiescent() bool {
 	if e.inFlightLen != 0 || e.router.PendingTotal() != 0 {
 		return false
@@ -350,13 +354,6 @@ func (e *Engine) Quiescent() bool {
 		}
 		if e.lastUtil[s] != 0 {
 			return false
-		}
-	}
-	if e.obsOn {
-		for _, n := range e.prevActive {
-			if n != 0 {
-				return false
-			}
 		}
 	}
 	return true
@@ -409,6 +406,7 @@ func (e *Engine) SetObserver(ob *obs.Observer) {
 		}
 	}
 	e.prevActive = make([]int, e.topo.Sockets)
+	e.noActive = make([]int, e.topo.Sockets)
 	e.obsOn = ob != nil
 	e.tracer = ob.Tracer()
 	e.deliverHook = nil
@@ -990,6 +988,18 @@ func (e *Engine) observeWorkers(now time.Duration, activeCount []int) {
 			}
 			e.prevActive[s] = n
 		}
+	}
+}
+
+// ObserveParked emits the worker observation a Step ending at now would
+// make with every socket's workers parked. The simulation's idle
+// macro-step skips Step entirely, so it calls this once at window entry:
+// a socket whose workers were still counted awake reports its sleep
+// transition at the same instant, with the same payload, as the skipped
+// Step would have.
+func (e *Engine) ObserveParked(now time.Duration) {
+	if e.obsOn {
+		e.observeWorkers(now, e.noActive)
 	}
 }
 

@@ -52,8 +52,7 @@ func TestBoundaryTimeJitterBounded(t *testing.T) {
 
 // TestLastBoundaryAtOrBeforeMatchesLinearWalk checks the closed-form
 // index computation against the obvious linear walk from index zero, over
-// random window ends and salts — the same reference SetBoundaryScanLinear
-// wires into whole machines for the step-path identity matrix.
+// random window ends and salts.
 func TestLastBoundaryAtOrBeforeMatchesLinearWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 2000; trial++ {
@@ -71,6 +70,67 @@ func TestLastBoundaryAtOrBeforeMatchesLinearWalk(t *testing.T) {
 		if got := lastBoundaryAtOrBefore(end, salt); got != want {
 			t.Fatalf("salt %#x end %v: lastBoundaryAtOrBefore=%d, linear walk=%d",
 				salt, end, got, want)
+		}
+	}
+}
+
+// integrateStretchLinear is the reference for raplCounter.integrateStretch:
+// the same closed-form window, with the last refresh boundary found by
+// walking forward from nextIdx one boundary at a time instead of computing
+// its index from the refresh period.
+func integrateStretchLinear(r *raplCounter, t0, dt time.Duration, powerW units.Watt, salt uint64) {
+	end := t0 + dt
+	last := r.nextIdx - 1
+	for boundaryTime(last+1, salt) <= end {
+		last++
+	}
+	if last >= r.nextIdx {
+		if b := boundaryTime(last, salt); b > t0 {
+			r.snapJ = r.trueJ + powerW.Over(b-t0)
+		} else {
+			r.snapJ = r.trueJ
+		}
+		r.nextIdx = last + 1
+	}
+	r.trueJ += powerW.Over(dt)
+}
+
+// TestIntegrateStretchMatchesLinearWalk checks the production stretch
+// integrator against the linear-walk reference bit for bit — trueJ, snapJ
+// and nextIdx — over random salts, counter states, window starts and
+// lengths, including windows ending exactly on a refresh instant and
+// starting nextIdx values both behind and ahead of the window.
+func TestIntegrateStretchMatchesLinearWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 5000; trial++ {
+		salt := rng.Uint64()
+		t0 := time.Duration(rng.Int63n(int64(100 * raplUpdatePeriod)))
+		dt := time.Duration(1 + rng.Int63n(int64(20*raplUpdatePeriod)))
+		if trial%4 == 0 {
+			// End exactly on a refresh instant after t0: "at or before"
+			// must include it.
+			k := int64(t0/raplUpdatePeriod) + 1 + rng.Int63n(20)
+			dt = boundaryTime(k, salt) - t0
+		}
+		// The counter's next boundary normally lies just past t0, but
+		// the integrator must not rely on it: start it anywhere from
+		// well behind the window to beyond its end.
+		next := int64(t0/raplUpdatePeriod) + rng.Int63n(30) - 8
+		if next < 0 {
+			next = 0
+		}
+		start := raplCounter{
+			trueJ:   units.JoulesOf(rng.Float64() * 1e4),
+			snapJ:   units.JoulesOf(rng.Float64() * 1e4),
+			nextIdx: next,
+		}
+		powerW := units.WattsOf(rng.Float64() * 200)
+		got, want := start, start
+		got.integrateStretch(t0, dt, powerW, salt)
+		integrateStretchLinear(&want, t0, dt, powerW, salt)
+		if got != want {
+			t.Fatalf("salt %#x t0 %v dt %v from %+v: integrateStretch %+v, linear walk %+v",
+				salt, t0, dt, start, got, want)
 		}
 	}
 }

@@ -32,25 +32,49 @@ func resultFingerprint(t *testing.T, res *Result) string {
 	return b.String()
 }
 
-// TestObserverIsBehaviorNeutral runs the same seeded scenario with and
-// without an observer attached: the recorded series must be identical.
-// Instrumentation is read-only — it must never draw randomness, change
-// timing, or otherwise perturb the simulation.
+// TestObserverIsBehaviorNeutral runs the same seeded scenarios with and
+// without an observer attached: the recorded series and the energy
+// counters must be bit-identical. Instrumentation is read-only — it must
+// never draw randomness, change timing, or otherwise perturb the
+// simulation. The idle-heavy stepped profile covers the quiescent fast
+// paths too: an attached observer must not keep them from engaging (their
+// closed-form integration would otherwise regroup float sums differently
+// from an unobserved run).
 func TestObserverIsBehaviorNeutral(t *testing.T) {
-	plain, err := Run(shortECLOpts(7, nil))
-	if err != nil {
-		t.Fatal(err)
+	idle := func(ob *obs.Observer) Options {
+		opts := stepEquivOptions(false)
+		opts.Obs = ob
+		return opts
 	}
-	observed, err := Run(shortECLOpts(7, obs.New(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := resultFingerprint(t, plain), resultFingerprint(t, observed); a != b {
-		t.Fatal("attaching an observer changed the run's recorded series")
-	}
-	if plain.Completed != observed.Completed || plain.EnergyJ != observed.EnergyJ {
-		t.Fatalf("observer changed outcomes: completed %d vs %d, energy %g vs %g",
-			plain.Completed, observed.Completed, plain.EnergyJ, observed.EnergyJ)
+	for _, sc := range []struct {
+		name string
+		opts func(*obs.Observer) Options
+	}{
+		{"busy", func(ob *obs.Observer) Options { return shortECLOpts(7, ob) }},
+		{"idle-heavy", idle},
+	} {
+		plain, err := Run(sc.opts(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []struct {
+			name string
+			ob   *obs.Observer
+		}{{"empty observer", &obs.Observer{}}, {"observer", obs.New(0)}} {
+			observed, err := Run(sc.opts(o.ob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := resultFingerprint(t, plain), resultFingerprint(t, observed); a != b {
+				t.Errorf("%s: attaching an %s changed the run's recorded series", sc.name, o.name)
+			}
+			if plain.Completed != observed.Completed || plain.EnergyJ != observed.EnergyJ ||
+				plain.PSUEnergyJ != observed.PSUEnergyJ {
+				t.Errorf("%s: %s changed outcomes: completed %d vs %d, energy %v vs %v J, PSU %v vs %v J",
+					sc.name, o.name, plain.Completed, observed.Completed, plain.EnergyJ.Joules(), observed.EnergyJ.Joules(),
+					plain.PSUEnergyJ.Joules(), observed.PSUEnergyJ.Joules())
+			}
+		}
 	}
 }
 

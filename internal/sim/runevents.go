@@ -8,24 +8,27 @@ import (
 	"ecldb/internal/units"
 )
 
-// This file holds the discrete-event run loop: instead of inspecting
-// every 1 ms quantum for boundaries (sample due? switch due? idle window
-// ahead?), the loop pops the next scheduled event from a deterministic
-// priority queue and jumps the simulation to it. Quanta between events
-// fall into two classes:
+// This file holds the discrete-event run loop, the production loop:
+// instead of inspecting every 1 ms quantum for boundaries (sample due?
+// switch due? idle window ahead?), the loop pops the next scheduled event
+// from a deterministic priority queue and jumps the simulation to it.
+// Quanta between events fall into two classes:
 //
 //   - Active quanta (queries in flight, load offered, or workers carrying
 //     debt) run the full per-quantum body — identical, statement for
-//     statement, to the quantum loop's.
+//     statement, to the reference walk's (runQuanta).
 //   - Quiescent stretches (engine empty, zero offered load) fast-forward:
-//     idle sockets skip the engine entirely (the existing macro-step), and
+//     idle sockets skip the engine entirely (the macro-step), and
 //     active-but-workless sockets run Engine.IdleQuantum plus a constant
 //     activity set, replicating the full path's per-quantum arithmetic
-//     without its hub and budget scans.
+//     without its hub and budget scans. Where the machine proves a
+//     stretch constant-state it integrates it in closed form
+//     (hw.Machine.StepStretch).
 //
-// Either way the machine integrates quantum by quantum with the same
-// float grouping, so results are bit-identical to the quantum loop
-// (TestStepPathsByteIdentical proves it across all path combinations).
+// Closed-form stretches regroup float sums, so through quiescent windows
+// results agree with the reference walk within 1e-9 relative (every
+// integer observable bit-identical); on a profile that never quiesces
+// the two are bit-identical (TestStepPathsByteIdentical proves both).
 
 // gridCeil rounds an instant up to the quantum grid: the profile time of
 // the first run-loop iteration at or after x. Duration division is exact
@@ -148,17 +151,18 @@ func (s *Sim) advanceTo(t *time.Duration, target time.Duration, switched *bool) 
 // returns how many consecutive quanta are provably workless (engine
 // quiescent, zero offered load throughout) and whether every socket is
 // also configured idle (licensing the engine-skipping macro-step instead
-// of the IdleQuantum stretch). 0 or 1 means "grind". The bounds mirror
-// macroQuantaFrom's: a pending workload switch caps the span, a clock
-// task deadline D allows the last quantum to at most end at D, and — for
-// the idle macro only, where no per-quantum epoch check runs — a pending
-// settle at instant A keeps quantum starts before A. The active stretch
-// needs no settle bound: stretchStep re-checks the configuration epochs
-// after every quantum and bails out the moment one moves.
+// of the IdleQuantum stretch). 0 or 1 means "grind". The window is
+// licensed only when every quantum it replaces would provably do nothing
+// the fast-forward does not reproduce: a pending workload switch caps the
+// span; a clock task deadline D may mutate any state, so the last quantum
+// may at most end at D (a task exactly at the end fires with the machine
+// in the identical state); and — for the idle macro only, where no
+// per-quantum epoch check runs — a pending settle at instant A changes
+// the configuration read at quantum starts, so quantum starts stay before
+// A. The active stretch needs no settle bound: stretchStep re-checks the
+// configuration epochs after every quantum and bails out the moment one
+// moves.
 func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bool) {
-	if s.opts.NoMacro {
-		return 0, false
-	}
 	if !s.engine.Quiescent() {
 		return 0, false
 	}
@@ -179,15 +183,12 @@ func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bo
 			k = kd
 		}
 	}
+	// No early exit: the scan refreshes every socket's kernel, which the
+	// active stretch replays.
 	idle := true
 	for sock := 0; sock < s.topo.Sockets; sock++ {
 		if !s.socketIdle(sock) {
 			idle = false
-			if s.opts.NoMemo {
-				// The active stretch replays cached kernels; without the
-				// kernel cache the reference path grinds instead.
-				return 0, false
-			}
 		}
 	}
 	if idle {
@@ -307,24 +308,23 @@ func (s *Sim) stretchStep(k int) int {
 		// iteration — with the reference grouping and the per-quantum
 		// epoch check — and retries, so drift resolves at quantum
 		// granularity and batching re-engages the moment state stabilizes.
-		if !s.opts.NoBatch {
-			now := s.clock.Now()
-			if n := s.machine.StepStretch(k-done, q, s.stretchActs); n > 0 {
-				s.engine.IdleStretch(now+q, q, n, s.stretchEligible, s.stretchActive)
-				s.advanceQuanta(n)
-				s.settleStretchAttr(time.Duration(n) * q)
-				done += n
-				s.batchWindows++
-				s.batchQuanta += int64(n)
-				// StepStretch's guards prove no machine epoch moved, and
-				// IdleStretch cannot move the characteristics epoch, so
-				// the kernels are still fresh.
-				continue
-			}
-		}
 		now := s.clock.Now()
+		if n := s.machine.StepStretch(k-done, q, s.stretchActs); n > 0 {
+			span := time.Duration(n) * q
+			s.engine.IdleStretch(now+q, q, n, s.stretchEligible, s.stretchActive)
+			s.accrueIdleBaseline(span)
+			s.advanceQuanta(n)
+			s.settleStretchAttr(span)
+			done += n
+			s.batchQuanta += int64(n)
+			// StepStretch's guards prove no machine epoch moved, and
+			// IdleStretch cannot move the characteristics epoch, so the
+			// kernels are still fresh.
+			continue
+		}
 		s.engine.IdleQuantum(now+q, q, s.stretchEligible, s.stretchActive)
 		s.machine.Step(q, s.stretchActs)
+		s.accrueIdleBaseline(q)
 		s.clock.Advance(q)
 		s.settleStretchAttr(q)
 		done++
@@ -346,6 +346,5 @@ func (s *Sim) stretchStep(k int) int {
 		}
 	}
 	s.stretchWindows++
-	s.stretchQuanta += int64(done)
 	return done
 }

@@ -87,37 +87,12 @@ type Options struct {
 	// Instrumentation is read-only — attaching an observer never changes
 	// a run's behavior or its determinism.
 	Obs *obs.Observer
-	// NoMemo disables the epoch-keyed step kernel cache: every quantum
-	// recomputes capacities, masks, budgets, and config renderings from
-	// scratch. This is the reference path — byte-identical results, just
-	// slower — kept for the identity proofs and for measurement.
-	NoMemo bool
-	// NoMacro disables the quiescent macro-step fast path, forcing the
-	// full per-quantum loop even through idle valleys of the load
-	// profile. Byte-identical results; kept as the reference path.
-	NoMacro bool
-	// NoEvents disables the discrete-event run loop, falling back to the
-	// per-quantum walk that inspects every 1 ms quantum for boundaries.
-	// Byte-identical results; kept as the reference path the event
-	// scheduler is proved against.
-	NoEvents bool
-	// NoBatch disables closed-form power integration over constant-state
-	// stretches (hw.Machine.StepStretch): the machine integrates quantum
-	// by quantum with the reference float grouping. Unlike the other
-	// No* reference paths this one is NOT byte-identical to the default —
-	// batching regroups float sums (P·(n·q) instead of n per-quantum
-	// terms), which is why the digests were re-locked (DESIGN.md §16).
-	// All integer-exact observables remain bit-identical and energies
-	// agree within a tight relative epsilon; scripts/relock.sh proves it
-	// with the semantic differ (cmd/semdiff).
-	NoBatch bool
-	// BatchLinearScan is a verification hook for the batched path: the
-	// closed-form stretch integrator locates RAPL refresh boundaries by
-	// walking indices one at a time instead of computing the last index
-	// directly from the refresh period. Results are bit-identical to the
-	// direct computation (the step-path identity matrix proves it), so
-	// the direct index math is never trusted on its own.
-	BatchLinearScan bool
+	// Reference runs the plain per-quantum walk the production loop is
+	// proved against (TestStepPathsByteIdentical): no event scheduler,
+	// kernel cache, quiescent fast-forward or closed-form integration.
+	// Integer observables are identical; floats agree within 1e-9
+	// relative, bit for bit while no fast-forward engages (DESIGN.md §16).
+	Reference bool
 	// Hook, when non-nil, observes the run from outside the determinism
 	// fence (see StepHook). The hook is invoked with the virtual clock's
 	// position only — it must treat every reachable structure as
@@ -148,30 +123,16 @@ type StepHook interface {
 	OnDone(now time.Duration)
 }
 
-// naiveDefault forces NoMemo+NoMacro+NoEvents+NoBatch on every new Sim;
-// set once at process start by the eclsim -nomemo flag (before any runs)
-// so even multi-run sweeps take the reference path.
-var naiveDefault bool
+// referenceDefault forces Options.Reference on every new Sim; set once
+// at process start by the eclsim -reference flag so even multi-run sweeps,
+// whose regenerators build their own Options, take the reference path.
+var referenceDefault bool
 
-// batchOffDefault forces only NoBatch on every new Sim; set once at
-// process start by the eclsim -nobatch flag so the re-lock harness can
-// regenerate artifacts under the reference float grouping while keeping
-// every other fast path on.
-var batchOffDefault bool
-
-// SetNaiveStep switches the process-wide default step path to the naive
-// reference implementation (the kernel cache, macro-stepping, the
-// event-driven run loop, and closed-form batching all off). Call it
-// before building any Sim; it exists for the CLI's -nomemo flag and must
-// not be toggled while runs are in progress.
-func SetNaiveStep(on bool) { naiveDefault = on }
-
-// SetBatchOff switches the process-wide default to per-quantum power
-// integration (Options.NoBatch) without touching the other fast paths.
-// Call it before building any Sim; it exists for the CLI's -nobatch flag
-// (the re-lock harness's reference grouping) and must not be toggled
+// SetReference switches the process-wide default step path to the
+// per-quantum reference walk (Options.Reference). Call it before building
+// any Sim; it exists for the CLI's -reference flag and must not be toggled
 // while runs are in progress.
-func SetBatchOff(on bool) { batchOffDefault = on }
+func SetReference(on bool) { referenceDefault = on }
 
 // Result is the outcome of a run.
 type Result struct {
@@ -231,7 +192,7 @@ type Sim struct {
 	bufEffs   []hw.Configuration
 	bufActs   []hw.SocketActivity
 
-	// Epoch-keyed step kernel cache (nil under Options.NoMemo): one
+	// Epoch-keyed step kernel cache (nil under Options.Reference): one
 	// kernel per socket, refreshed only when the machine's StateEpoch or
 	// the engine's CharacteristicsEpoch moved. kernActive aliases the
 	// kernels' active masks in the shape engine.Step expects.
@@ -243,14 +204,9 @@ type Sim struct {
 	idleActs []hw.SocketActivity
 	synActs  []hw.SocketActivity
 
-	// Macro-step accounting (test introspection).
+	// Fast-path accounting (test introspection): idle macro windows, and
+	// the quanta the machine integrated in closed form.
 	macroWindows int64
-	macroQuanta  int64
-
-	// Closed-form batch accounting (test introspection): stretches the
-	// machine integrated in one StepStretch call, and the quanta they
-	// covered.
-	batchWindows int64
 	batchQuanta  int64
 
 	// Reused per-sample power buffers (Machine.LastPowerInto).
@@ -266,7 +222,6 @@ type Sim struct {
 	stretchEligible []int
 	stretchActive   []int
 	stretchWindows  int64
-	stretchQuanta   int64
 
 	// Sampling state: power samples are averages over the sampling
 	// window (instantaneous samples alias with RTI switching).
@@ -296,6 +251,7 @@ type Sim struct {
 	attrReg          *obs.Registry
 	attrTracer       *qtrace.Tracer
 	attrPerW         []units.Joule
+	attrActive       []int
 	obsEPQ50         *obs.Gauge
 	obsEPQ95         *obs.Gauge
 	obsEPQ99         *obs.Gauge
@@ -322,11 +278,8 @@ func New(opts Options) (*Sim, error) {
 	if opts.SampleEvery <= 0 {
 		opts.SampleEvery = 500 * time.Millisecond
 	}
-	if naiveDefault {
-		opts.NoMemo, opts.NoMacro, opts.NoEvents, opts.NoBatch = true, true, true, true
-	}
-	if batchOffDefault {
-		opts.NoBatch = true
+	if referenceDefault {
+		opts.Reference = true
 	}
 	pp := hw.DefaultPowerParams()
 	if opts.Power != nil {
@@ -341,9 +294,6 @@ func New(opts Options) (*Sim, error) {
 		rec:        trace.NewRecorder(),
 		configTime: make(map[string]time.Duration),
 		configName: make(map[string]string),
-	}
-	if opts.BatchLinearScan {
-		s.machine.SetBoundaryScanLinear(true)
 	}
 	eng, err := dodb.New(dodb.Config{
 		Topo:          topo,
@@ -423,6 +373,7 @@ func (s *Sim) attachObserver(ob *obs.Observer) {
 		s.attrReg = reg
 		s.attrTracer = ob.Tracer()
 		s.attrPerW = make([]units.Joule, s.topo.Sockets)
+		s.attrActive = make([]int, s.topo.Sockets)
 		s.obsEPQ50 = reg.Gauge("ecl_energy_per_query_j_p50")
 		s.obsEPQ95 = reg.Gauge("ecl_energy_per_query_j_p95")
 		s.obsEPQ99 = reg.Gauge("ecl_energy_per_query_j_p99")
@@ -695,7 +646,7 @@ func (s *Sim) flushConfigTime(k *stepKernel) {
 // load (no queries involved), using each socket's own workload
 // characteristics.
 func (s *Sim) advanceSynthetic(dt time.Duration) {
-	if s.opts.NoMemo {
+	if s.opts.Reference {
 		s.advanceSyntheticNaive(dt)
 		return
 	}
@@ -804,7 +755,7 @@ func (s *Sim) Run() (*Result, error) {
 	hook := s.opts.Hook
 
 	var loopErr error
-	if s.opts.NoEvents {
+	if s.opts.Reference {
 		loopErr = s.runQuanta(dur)
 	} else {
 		loopErr = s.runEvents(dur)
@@ -845,12 +796,10 @@ func (s *Sim) Run() (*Result, error) {
 	return res, nil
 }
 
-// runQuanta is the reference run loop (Options.NoEvents): a walk over
-// every 1 ms quantum that inspects each iteration for boundaries — the
-// workload switch, the quiescent macro window, the trace sample. The
-// discrete-event loop in runevents.go replaces the per-quantum boundary
-// inspection with a scheduled event queue and is proved byte-identical
-// against this path.
+// runQuanta is the reference run loop (Options.Reference): a plain walk
+// over every quantum that checks each iteration for the workload switch
+// and the trace sample and steps the full stack. The discrete-event loop
+// in runevents.go is the production loop proved against it.
 func (s *Sim) runQuanta(dur time.Duration) error {
 	q := s.opts.Quantum
 	nextSample := time.Duration(0)
@@ -864,15 +813,6 @@ func (s *Sim) runQuanta(dur time.Duration) error {
 				return err
 			}
 			switched = true
-		}
-		// Quiescent fast path: when nothing can happen for k quanta —
-		// zero offered load, idle hardware, empty engine, and no
-		// controller deadline, trace sample, or pending settle inside
-		// the window — run the machine straight through them.
-		if k := s.macroQuantaFrom(t, dur, nextSample, switched); k > 1 {
-			s.macroStep(k)
-			t += time.Duration(k-1) * q
-			continue
 		}
 		if err := s.engine.OfferLoad(units.HertzOf(s.opts.Load.QPS(t)), q, now); err != nil {
 			return err
@@ -892,81 +832,9 @@ func (s *Sim) runQuanta(dur time.Duration) error {
 	return nil
 }
 
-// macroQuantaFrom computes how many consecutive quanta starting at
-// profile time t the run may macro-step through, or 0/1 when the fast
-// path does not apply. The window is licensed only when every per-quantum
-// iteration it replaces would provably do nothing beyond stepping the
-// idle machine: the engine is quiescent, every socket's effective
-// configuration is idle, the offered load is zero throughout, and no
-// trace sample, workload switch, scheduled task, or pending settle falls
-// strictly inside the window. Tasks and settles landing exactly on the
-// window's end are fine: the final clock.Advance fires them with the
-// machine in the identical state the per-quantum loop would have.
-func (s *Sim) macroQuantaFrom(t, dur, nextSample time.Duration, switched bool) int {
-	if s.opts.NoMacro {
-		return 0
-	}
-	if !s.engine.Quiescent() {
-		return 0
-	}
-	for sock := 0; sock < s.topo.Sockets; sock++ {
-		if !s.socketIdle(sock) {
-			return 0
-		}
-	}
-	q := s.opts.Quantum
-	// Quanta i = 0..k-1 replace loop iterations at t+i*q, so every
-	// boundary B that triggers *at the top or bottom of an iteration*
-	// requires t+i*q < B, i.e. k <= ceil((B-t)/q).
-	span := dur - t
-	if sp := nextSample - t; sp < span {
-		span = sp
-	}
-	if !switched && s.opts.SwitchAt > 0 && s.opts.SwitchTo != nil {
-		if sp := s.opts.SwitchAt - t; sp < span {
-			span = sp
-		}
-	}
-	if span < 2*q {
-		return 0
-	}
-	k := int((span + q - 1) / q)
-	now := s.clock.Now()
-	// A scheduled task at deadline D may mutate any state, so the last
-	// macro quantum may at most *end* at D: k <= floor((D-now)/q).
-	if d, ok := s.clock.NextDeadline(); ok {
-		if kd := int((d - now) / q); kd < k {
-			k = kd
-		}
-	}
-	// A pending settle at instant A changes the effective configuration
-	// read at quantum starts; quantum starts must stay before A
-	// (the power integration inside a quantum splits at A identically
-	// in both schemes): k <= ceil((A-now)/q).
-	if a, ok := s.machine.NextSettle(); ok {
-		if ka := int((a - now + q - 1) / q); ka < k {
-			k = ka
-		}
-	}
-	if k < 2 {
-		return 0
-	}
-	n := 0
-	for n < k && s.opts.Load.QPS(t+time.Duration(n)*q) == 0 {
-		n++
-	}
-	if n < 2 {
-		return 0
-	}
-	return n
-}
-
 // socketIdle reports whether the socket's effective configuration is the
 // idle one (no active threads).
 func (s *Sim) socketIdle(sock int) bool {
-	if s.opts.NoMemo {
-		return s.machine.EffectiveView(sock).Idle()
-	}
 	if s.kernels == nil {
 		s.initKernels()
 	}
@@ -975,32 +843,34 @@ func (s *Sim) socketIdle(sock int) bool {
 
 // macroStep advances machine and clock through k quanta of machine-wide
 // idle with zero activity, skipping the per-quantum sim work (load offer,
-// engine step, kernel evaluation) that is a no-op in this state. By
-// default the machine integrates the whole window in closed form
+// engine step, kernel evaluation) that is a no-op in this state. The
+// machine integrates the whole window in closed form
 // (hw.Machine.StepStretch, one P·(n·q) term per domain per socket); when
 // a stretch guard bails — UFS decay still drifting, turbo budget
-// recharging, a pending settle — or under Options.NoBatch, it falls back
-// to per-quantum integration with the reference float grouping, grinding
-// one quantum before retrying the batch so drift resolves at quantum
-// granularity.
+// recharging, a pending settle — it falls back to per-quantum integration
+// with the reference float grouping, grinding one quantum before retrying
+// the batch so drift resolves at quantum granularity.
 func (s *Sim) macroStep(k int) {
 	if s.idleActs == nil {
 		s.idleActs = newZeroActs(s.topo)
 	}
 	q := s.opts.Quantum
+	// The window's first quantum is where a full Step would observe the
+	// workers parking; emit that observation with Step's payload.
+	s.engine.ObserveParked(s.clock.Now() + q)
 	done := 0
 	for done < k {
-		if !s.opts.NoBatch {
-			if n := s.machine.StepStretch(k-done, q, s.idleActs); n > 0 {
-				s.advanceQuanta(n)
-				s.settleIdleAttr(time.Duration(n) * q)
-				done += n
-				s.batchWindows++
-				s.batchQuanta += int64(n)
-				continue
-			}
+		if n := s.machine.StepStretch(k-done, q, s.idleActs); n > 0 {
+			span := time.Duration(n) * q
+			s.accrueIdleBaseline(span)
+			s.advanceQuanta(n)
+			s.settleIdleAttr(span)
+			done += n
+			s.batchQuanta += int64(n)
+			continue
 		}
 		s.machine.Step(q, s.idleActs)
+		s.accrueIdleBaseline(q)
 		s.clock.Advance(q)
 		s.settleIdleAttr(q)
 		if s.opts.Hook != nil {
@@ -1009,7 +879,6 @@ func (s *Sim) macroStep(k int) {
 		done++
 	}
 	s.macroWindows++
-	s.macroQuanta += int64(k)
 }
 
 // advanceQuanta advances the virtual clock over n quanta the machine has
@@ -1034,33 +903,64 @@ func (s *Sim) advanceQuanta(n int) {
 	}
 }
 
-// settleStepAttr closes the attribution span of one full per-quantum
-// step: per socket, it splits the quantum's pending joules by the engine's
-// query weights and the controller's busy-poll overhead, advances the
-// always-max counterfactual by the instructions actually retired, and
-// hands the per-weight query share back to the engine for per-query
-// distribution. Called after the clock advance, so the span end is the
-// quantum boundary the machine just integrated to.
-func (s *Sim) settleStepAttr(q time.Duration, stats []dodb.SocketStats) {
+// accrueStepAttr opens the attribution of one per-quantum step, after
+// the engine ran and before the machine integrates: per socket it records
+// the quantum-start active thread count — the activity the machine is
+// about to integrate, so a settle committing at the quantum end cannot
+// move the loop-overhead charge — and advances the always-max
+// counterfactual by the instructions actually retired. Accruing before
+// the clock advance keeps the quantum's baseline in its own ledger reign:
+// a controller deadline at the quantum end reconfigures only during the
+// advance.
+func (s *Sim) accrueStepAttr(q time.Duration, stats []dodb.SocketStats) {
 	if !s.eattr.Enabled() {
 		return
 	}
-	end := s.clock.Now()
-	w := s.engine.AttrWeights()
 	for sock := 0; sock < s.topo.Sockets; sock++ {
-		active := s.machine.EffectiveView(sock).ActiveThreads()
-		loop := 0.0
-		if s.controller != nil && active > 0 {
-			loop = s.controller.Overhead()
-		}
-		s.attrPerW[sock] = s.eattr.Settle(sock, end-q, end, active, w[sock], loop)
+		s.attrActive[sock] = s.machine.EffectiveView(sock).ActiveThreads()
 		used := 0.0
 		for _, u := range stats[sock].UsedInstr {
 			used += u
 		}
 		s.eattr.AccrueBaseline(sock, used, q)
 	}
+}
+
+// settleStepAttr closes the attribution span of one full per-quantum
+// step: per socket, it splits the quantum's pending joules by the engine's
+// query weights and the controller's busy-poll overhead (charged on the
+// active count accrueStepAttr recorded), and hands the per-weight query
+// share back to the engine for per-query distribution. Called after the
+// clock advance, so the span end is the quantum boundary the machine just
+// integrated to.
+func (s *Sim) settleStepAttr(q time.Duration) {
+	if !s.eattr.Enabled() {
+		return
+	}
+	end := s.clock.Now()
+	w := s.engine.AttrWeights()
+	for sock := 0; sock < s.topo.Sockets; sock++ {
+		active := s.attrActive[sock]
+		loop := 0.0
+		if s.controller != nil && active > 0 {
+			loop = s.controller.Overhead()
+		}
+		s.attrPerW[sock] = s.eattr.Settle(sock, end-q, end, active, w[sock], loop)
+	}
 	s.engine.DistributeEnergy(s.attrPerW)
+}
+
+// accrueIdleBaseline advances every socket's always-max counterfactual
+// over a workless span (nothing retired). Like accrueStepAttr it runs
+// before the clock advance, so the span's baseline lands in its own
+// ledger reign.
+func (s *Sim) accrueIdleBaseline(span time.Duration) {
+	if !s.eattr.Enabled() {
+		return
+	}
+	for sock := 0; sock < s.topo.Sockets; sock++ {
+		s.eattr.AccrueBaseline(sock, 0, span)
+	}
 }
 
 // settleIdleAttr closes the attribution span of one machine-wide idle
@@ -1074,7 +974,6 @@ func (s *Sim) settleIdleAttr(span time.Duration) {
 	end := s.clock.Now()
 	for sock := 0; sock < s.topo.Sockets; sock++ {
 		s.eattr.Settle(sock, end-span, end, 0, 0, 0)
-		s.eattr.AccrueBaseline(sock, 0, span)
 	}
 }
 
@@ -1094,17 +993,16 @@ func (s *Sim) settleStretchAttr(span time.Duration) {
 			loop = s.controller.Overhead()
 		}
 		s.eattr.Settle(sock, end-span, end, active, 0, loop)
-		s.eattr.AccrueBaseline(sock, 0, span)
 	}
 }
 
 // step advances the whole stack by one quantum.
 func (s *Sim) step(q time.Duration) {
-	if !s.opts.NoMemo && q == s.opts.Quantum {
-		s.stepCached(q)
+	if s.opts.Reference {
+		s.stepNaive(q)
 		return
 	}
-	s.stepNaive(q)
+	s.stepCached(q)
 }
 
 // stepCached is the epoch-cached step: per-socket state comes from the
@@ -1165,9 +1063,10 @@ func (s *Sim) stepCached(q time.Duration) {
 			acts[sock].Busy[firstActive] = b
 		}
 	}
+	s.accrueStepAttr(q, stats)
 	s.machine.Step(q, acts)
 	s.clock.Advance(q)
-	s.settleStepAttr(q, stats)
+	s.settleStepAttr(q)
 }
 
 // stepNaive is the reference step implementation: a full perf-model
@@ -1253,9 +1152,10 @@ func (s *Sim) stepNaive(q time.Duration) {
 			acts[sock].Busy[firstActive] = b
 		}
 	}
+	s.accrueStepAttr(q, stats)
 	s.machine.Step(q, acts)
 	s.clock.Advance(q)
-	s.settleStepAttr(q, stats)
+	s.settleStepAttr(q)
 }
 
 // sample records the trace series at profile time t. Power values are

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"bytes"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -10,140 +14,144 @@ import (
 	"ecldb/internal/obs"
 	"ecldb/internal/obs/energyattr"
 	"ecldb/internal/obs/trace"
+	"ecldb/internal/relock"
 	"ecldb/internal/workload"
 )
 
-// stepEquivOptions builds the scenario the optimized-vs-reference
-// equivalence proof runs: an ECL run over a stepped profile whose zero
-// plateaus give the quiescent macro-step fast path real windows to claim,
-// with the observability layer attached so event logs, metrics, and the
-// explain report enter the digest.
-func stepEquivOptions(noMemo, noMacro bool) Options {
-	// Query tracing rides along: the Perfetto export and breakdown enter
-	// the digest, so the proof also covers span byte-identity across the
-	// optimization combinations (macro windows require quiescence, so no
-	// traced span interval can overlap one). Energy attribution rides
-	// along too: its exposition joins the digest and its conservation
-	// invariant is asserted per combination below.
+// allSinks returns an observer with every sink attached: the event log
+// and metrics, query tracing (the Perfetto export and phase breakdown),
+// and energy attribution.
+func allSinks() *obs.Observer {
 	ob := obs.New(0)
 	ob.Trace = trace.New(3)
 	ob.Energy = energyattr.New(hw.HaswellEP().Sockets)
+	return ob
+}
+
+// stepEquivOptions builds the idle-heavy scenario of the production-vs-
+// reference proof: an ECL run over a stepped profile whose zero plateaus
+// give the quiescent fast paths (idle macro-steps, active-but-workless
+// stretches, closed-form integration) real windows to claim, with every
+// observability sink attached so all exports enter the comparison.
+// Macro windows require quiescence, so no traced query span can overlap
+// one.
+func stepEquivOptions(reference bool) Options {
 	return Options{
 		Workload: workload.NewKV(false),
 		Load: loadprofile.Step{
 			Levels:  []float64{5000, 0, 0, 0, 8000, 0, 0, 0, 2000},
 			StepLen: 2 * time.Second,
 		},
-		Governor: GovernorECL,
-		Prewarm:  true,
-		Seed:     7,
-		Obs:      ob,
-		NoMemo:   noMemo,
-		NoMacro:  noMacro,
+		Governor:  GovernorECL,
+		Prewarm:   true,
+		Seed:      7,
+		Obs:       allSinks(),
+		Reference: reference,
 	}
 }
 
-// TestStepPathsByteIdentical is the identity proof for this package's
-// step-loop optimizations: the epoch-keyed kernel cache (NoMemo toggles
-// it), the quiescent macro-step fast path (NoMacro toggles it), the
-// discrete-event run loop (NoEvents falls back to the per-quantum walk),
-// and the closed-form batch integrator (NoBatch falls back to per-quantum
-// power integration). The digest covers the full observable surface:
-// time-series float bits, energy counters, query counters, MostApplied,
-// the rendered trace CSV, the profile skyline, the JSONL event log, the
-// Prometheus exposition, the explain report, and the Perfetto query-trace
-// export. scripts/check.sh runs this under the race detector.
+// TestStepPathsByteIdentical proves the production step path (the
+// discrete-event loop, the epoch-keyed kernel cache, quiescent
+// fast-forward, and closed-form stretch integration) against the
+// per-quantum reference walk (Options.Reference) in two parts.
+// scripts/check.sh runs it under the race detector.
 //
-// Batching regroups float sums (P·(n·q) instead of n per-quantum terms),
-// so — unlike every other toggle — batch-on runs are NOT byte-identical
-// to the reference. The matrix therefore splits into digest-equality
-// groups:
+//	busy: on a profile that never quiesces no fast-forward can engage,
+//	      so the two paths must digest bit for bit over the full
+//	      observable surface (digestRun): the event loop and the kernel
+//	      cache are exact.
+//	idle: on the idle-heavy stepped profile every fast path engages in
+//	      production and none in the reference. Closed-form stretches
+//	      regroup float sums (P·(n·q) instead of n per-quantum terms), so
+//	      every export the digest hashes is compared with internal/relock
+//	      instead: integer observables byte-identical, floats within its
+//	      default 1e-9 relative. scripts/relock.sh extends the check to
+//	      regenerated artifacts.
 //
-//	group 0: every NoBatch combination — bit-identical to the naive
-//	         reference, the PR 8 proof unchanged;
-//	group 1: batch-on combinations whose only batched windows are the
-//	         idle macro windows, which the walk and the event loop
-//	         license identically — mutually bit-identical;
-//	group 2: the production default (event loop, active stretches
-//	         batched too) and its linear-boundary-scan verification twin,
-//	         which must prove the direct RAPL boundary-index computation
-//	         bit-equal to walking the boundaries one at a time.
-//
-// Across groups, every integer-exact observable must still match the
-// reference exactly, and the run energies must agree within a tight
-// relative epsilon — the in-process half of the re-lock argument;
-// scripts/relock.sh extends it to every regenerated artifact.
+// Both runs of both parts must also conserve energy exactly.
 func TestStepPathsByteIdentical(t *testing.T) {
-	combos := []struct {
-		name                               string
-		noMemo, noMacro, noEvents, noBatch bool
-		linear                             bool
-		group                              int
-	}{
-		// The quantum walk, with and without the step optimizations.
-		{"naive", true, true, true, true, false, 0}, // the reference: quantum walk, no cache, no macro
-		{"memo-only", false, true, true, true, false, 0},
-		{"macro-only", true, false, true, true, false, 0},
-		{"quantum-nobatch", false, false, true, true, false, 0},
-		// The event scheduler over the same optimization matrix.
-		{"events-naive", true, true, false, true, false, 0},
-		{"events-macro", true, false, false, true, false, 0},
-		{"events-nobatch", false, false, false, true, false, 0},
-		// Closed-form batching over idle macro windows only.
-		{"macro-batch", true, false, true, false, false, 1},
-		{"quantum-batch", false, false, true, false, false, 1},
-		{"events-macro-batch", true, false, false, false, false, 1},
-		// The production default: active stretches batch too.
-		{"events-default", false, false, false, false, false, 2},
-		{"events-default-linear", false, false, false, false, true, 2},
-	}
-	var groupRef [3][32]byte
-	var groupSeen [3]bool
-	var refRes *Result
-	for _, c := range combos {
-		opts := stepEquivOptions(c.noMemo, c.noMacro)
-		opts.NoEvents = c.noEvents
-		opts.NoBatch = c.noBatch
-		opts.BatchLinearScan = c.linear
-		sum, s, res := digestRun(t, opts)
-		switch {
-		case c.noMacro && s.macroWindows != 0:
-			t.Errorf("%s: macro-stepped %d windows with the fast path disabled", c.name, s.macroWindows)
-		case !c.noMacro && s.macroWindows == 0:
-			t.Errorf("%s: the idle plateaus never engaged the macro-step fast path; the comparison is vacuous", c.name)
-		}
-		if !c.noMacro && s.macroQuanta < s.macroWindows {
-			t.Errorf("%s: %d macro windows cover only %d quanta", c.name, s.macroWindows, s.macroQuanta)
-		}
-		// The active stretch (quiescent engine, awake sockets) needs both
-		// the event loop and the kernel cache; anywhere else it must stay
-		// out of the way.
-		switch {
-		case (c.noEvents || c.noMemo || c.noMacro) && s.stretchWindows != 0:
-			t.Errorf("%s: active stretch engaged %d windows outside its licensing combination", c.name, s.stretchWindows)
-		case !c.noEvents && !c.noMemo && !c.noMacro && s.stretchWindows == 0:
-			t.Errorf("%s: the active stretch never engaged; the comparison is vacuous", c.name)
-		}
-		// Batch vacuity: a NoBatch run must never touch StepStretch, and a
-		// batch-on run that never batches proves nothing.
-		switch {
-		case c.noBatch && s.batchQuanta != 0:
-			t.Errorf("%s: batched %d quanta with batching disabled", c.name, s.batchQuanta)
-		case !c.noBatch && s.batchQuanta == 0:
-			t.Errorf("%s: closed-form batching never engaged; the comparison is vacuous", c.name)
-		}
-		if !groupSeen[c.group] {
-			groupRef[c.group], groupSeen[c.group] = sum, true
-			if c.group == 0 {
-				refRes = res
+	t.Run("busy", func(t *testing.T) {
+		prodOpts, refOpts := shortECLOpts(7, allSinks()), shortECLOpts(7, allSinks())
+		refOpts.Reference = true
+		prod, ps, _ := digestRun(t, prodOpts)
+		ref, rs, _ := digestRun(t, refOpts)
+		for _, r := range []struct {
+			name string
+			s    *Sim
+		}{{"production", ps}, {"reference", rs}} {
+			if r.s.macroWindows != 0 || r.s.stretchWindows != 0 || r.s.batchQuanta != 0 {
+				t.Errorf("%s: fast-forward engaged on a busy profile (macro %d, stretch %d, batched quanta %d)",
+					r.name, r.s.macroWindows, r.s.stretchWindows, r.s.batchQuanta)
 			}
-		} else if sum != groupRef[c.group] {
-			t.Errorf("%s digest diverged from its group-%d reference:\n  %x\n  %x", c.name, c.group, sum, groupRef[c.group])
 		}
-		if c.group != 0 && refRes != nil {
-			assertSemanticallyEqual(t, c.name, refRes, res)
+		if prod != ref {
+			t.Errorf("production digest diverged from the reference:\n  %x\n  %x", prod, ref)
 		}
-		assertEnergyConservation(t, c.name, s, opts.Obs.Energy)
+		assertEnergyConservation(t, "production", ps, prodOpts.Obs.Energy)
+		assertEnergyConservation(t, "reference", rs, refOpts.Obs.Energy)
+	})
+
+	t.Run("idle", func(t *testing.T) {
+		prodOpts, refOpts := stepEquivOptions(false), stepEquivOptions(true)
+		_, ps, prod := digestRun(t, prodOpts)
+		_, rs, ref := digestRun(t, refOpts)
+		if ps.macroWindows == 0 || ps.stretchWindows == 0 || ps.batchQuanta == 0 {
+			t.Errorf("production left a fast path unexercised (macro %d, stretch %d, batched quanta %d); the comparison is vacuous",
+				ps.macroWindows, ps.stretchWindows, ps.batchQuanta)
+		}
+		if rs.macroWindows != 0 || rs.stretchWindows != 0 || rs.batchQuanta != 0 {
+			t.Errorf("reference engaged a fast path (macro %d, stretch %d, batched quanta %d)",
+				rs.macroWindows, rs.stretchWindows, rs.batchQuanta)
+		}
+		assertSemanticallyEqual(t, "production", ref, prod)
+		refDir, prodDir := filepath.Join(t.TempDir(), "reference"), filepath.Join(t.TempDir(), "production")
+		writeExports(t, refDir, ref)
+		writeExports(t, prodDir, prod)
+		reports, err := relock.CompareTrees(refDir, prodDir, relock.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reports {
+			if !r.OK() {
+				t.Errorf("%s: production diverged from the reference: %s", r.Path, r.Err)
+			}
+		}
+		assertEnergyConservation(t, "production", ps, prodOpts.Obs.Energy)
+		assertEnergyConservation(t, "reference", rs, refOpts.Obs.Energy)
+	})
+}
+
+// writeExports renders every export digestRun hashes into dir, one file
+// each, for the semantic differ.
+func writeExports(t *testing.T, dir string, res *Result) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ob := res.Obs
+	text := func(f func() string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, f()); return err }
+	}
+	for _, e := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"series.csv", res.Rec.WriteCSV},
+		{"events.jsonl", ob.Log.WriteJSONL},
+		{"metrics.prom", ob.Metrics.WriteProm},
+		{"explain.txt", text(func() string { return obs.Report(ob.Log) })},
+		{"qtrace.json", ob.Trace.WritePerfetto},
+		{"phases.txt", text(ob.Trace.Report)},
+		{"eattr.jsonl", ob.Energy.WriteJSONL},
+		{"eattr-report.txt", text(ob.Energy.Report)},
+	} {
+		var buf bytes.Buffer
+		if err := e.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.name), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -360,18 +368,17 @@ func TestSimStepSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // benchStepKernel measures one live step (load offer + full stack quantum)
-// with the kernel cache on or off; the pair quantifies what the epoch
-// memoization buys on the per-quantum path. Macro-stepping is disabled so
-// both variants run the same number of real steps.
-func benchStepKernel(b *testing.B, noMemo bool) {
+// on the production step (the epoch-keyed kernel cache) or the reference
+// step; the pair quantifies what the memoization buys on the per-quantum
+// path. Both drive s.step directly, so no fast-forward can engage.
+func benchStepKernel(b *testing.B, reference bool) {
 	s, err := New(Options{
-		Workload: workload.NewKV(true),
-		Load:     loadprofile.Constant{Qps: 3000, Len: time.Hour},
-		Governor: GovernorECL,
-		Prewarm:  true,
-		Seed:     9,
-		NoMemo:   noMemo,
-		NoMacro:  true,
+		Workload:  workload.NewKV(true),
+		Load:      loadprofile.Constant{Qps: 3000, Len: time.Hour},
+		Governor:  GovernorECL,
+		Prewarm:   true,
+		Seed:      9,
+		Reference: reference,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -394,29 +401,29 @@ func benchStepKernel(b *testing.B, noMemo bool) {
 	}
 }
 
-func BenchmarkStepKernel(b *testing.B)       { benchStepKernel(b, false) }
-func BenchmarkStepKernelNoMemo(b *testing.B) { benchStepKernel(b, true) }
+func BenchmarkStepKernel(b *testing.B)          { benchStepKernel(b, false) }
+func BenchmarkStepKernelReference(b *testing.B) { benchStepKernel(b, true) }
 
 // benchIdleHeavy runs a full 60 s ECL simulation whose load profile is
 // two short bursts around a long zero plateau — the shape where the
 // discrete-event scheduler's quiescent stretches (idle macro-steps and
 // active-but-workless IdleQuantum windows) dominate the walk. The
-// NoEvents variant runs the identical scenario on the per-quantum
-// reference loop (kernel cache and macro-stepping still on), so the
-// pair reads the event scheduler's contribution directly off a
-// BENCH_*.json snapshot. No observer is attached: this measures the
-// headless sweep configuration the figure regenerators run in.
-func benchIdleHeavy(b *testing.B, noEvents bool) {
+// Reference variant runs the identical scenario on the per-quantum
+// reference walk, so the pair reads what the production path's
+// fast-forward buys directly off a BENCH_*.json snapshot. No observer is
+// attached: this measures the headless sweep configuration the figure
+// regenerators run in.
+func benchIdleHeavy(b *testing.B, reference bool) {
 	levels := make([]float64, 30)
 	levels[0], levels[len(levels)-1] = 4000, 4000
 	for i := 0; i < b.N; i++ {
 		s, err := New(Options{
-			Workload: workload.NewKV(true),
-			Load:     loadprofile.Step{Levels: levels, StepLen: 2 * time.Second},
-			Governor: GovernorBaseline,
-			Prewarm:  true,
-			Seed:     13,
-			NoEvents: noEvents,
+			Workload:  workload.NewKV(true),
+			Load:      loadprofile.Step{Levels: levels, StepLen: 2 * time.Second},
+			Governor:  GovernorBaseline,
+			Prewarm:   true,
+			Seed:      13,
+			Reference: reference,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -427,5 +434,5 @@ func benchIdleHeavy(b *testing.B, noEvents bool) {
 	}
 }
 
-func BenchmarkIdleHeavyRun(b *testing.B)         { benchIdleHeavy(b, false) }
-func BenchmarkIdleHeavyRunNoEvents(b *testing.B) { benchIdleHeavy(b, true) }
+func BenchmarkIdleHeavyRun(b *testing.B)          { benchIdleHeavy(b, false) }
+func BenchmarkIdleHeavyRunReference(b *testing.B) { benchIdleHeavy(b, true) }

@@ -15,10 +15,26 @@
 #              plus the parallel-vs-sequential sweep byte-identity test,
 #              proving the bench orchestrator's fan-out changes nothing
 #              but wall-clock
+#
+# Every step reports its elapsed wall seconds, and the script its total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== gofmt"
+step_name=""
+step_start=$SECONDS
+# end_step: report the running step's elapsed seconds.
+end_step() {
+    [ -z "$step_name" ] || echo "   ($step_name: $((SECONDS - step_start)) s)"
+}
+# step <name>: close the running step and open the next one.
+step() {
+    end_step
+    step_name="$1"
+    step_start=$SECONDS
+    echo "== $1"
+}
+
+step "gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed:" >&2
@@ -26,44 +42,46 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go build"
+step "go build"
 go build ./...
 
-echo "== go vet"
+step "go vet"
 go vet ./...
 
-echo "== ecllint"
+step "ecllint"
 # -unused-directives: a suppression that no longer suppresses anything
 # is a stale justification and fails the gate too.
 go run ./cmd/ecllint -unused-directives ./...
 
-echo "== ecllint on internal/lint"
+step "ecllint on internal/lint"
 # The analyzer package holds itself to its own contract. ./... above
 # already covers it; this separate invocation keeps the self-check
 # visible even if the tree-wide run ever narrows its patterns.
 go run ./cmd/ecllint -unused-directives ./internal/lint ./cmd/ecllint
 
-echo "== go test -short"
+step "go test -short"
 go test -short -count=1 ./...
 
-echo "== determinism under -race"
+step "determinism under -race"
 go test -race -short -count=1 -run 'TestDeterminism' ./internal/sim
 
-echo "== step-path byte-identity under -race"
-# The optimized step loop (epoch-keyed kernel cache + quiescent
-# macro-stepping) against the naive reference path: all four on/off
-# combinations must digest bit-identically over series, counters, trace
-# CSV, event log, metrics exposition, and explain report.
+step "step-path byte-identity under -race"
+# The production step path (event loop, kernel cache, quiescent
+# fast-forward, closed-form stretches) against the per-quantum reference
+# walk: bit-identical digests on a profile that never quiesces, and on the
+# idle-heavy profile every export (series CSV, event log, metrics, explain
+# report, Perfetto trace, phase breakdown, energy attribution) within the
+# semantic differ's 1e-9, with energy conserved on both paths.
 go test -race -count=1 -run 'TestStepPathsByteIdentical' ./internal/sim
 
-echo "== query trace validity + byte-identity under -race"
+step "query trace validity + byte-identity under -race"
 # A short traced simulation: the Perfetto export must parse as JSON,
 # match byte-for-byte across two same-seed runs, and leave the recorded
 # series untouched (tracing is read-only). The determinism digest above
 # also folds the export and the phase-breakdown table in.
 go test -race -count=1 -run 'TestQueryTrace' ./internal/sim
 
-echo "== live serving surface under -race"
+step "live serving surface under -race"
 # cmd/eclserve must build, and the serve package's tests run a short
 # simulation with the full HTTP stack attached: the golden Prometheus
 # exposition over HTTP, an SSE subscriber asserting at least one typed
@@ -73,11 +91,11 @@ echo "== live serving surface under -race"
 go build -o /dev/null ./cmd/eclserve
 go test -race -count=1 -run 'TestServ' ./internal/serve
 
-echo "== energy attribution under -race"
+step "energy attribution under -race"
 # The attribution meter's contract, raced: conservation (the meter's
 # mirror is bitwise equal to the machine's RAPL counters and the
-# queries/control/residual partition sums back exactly) is asserted
-# inside the 12-combo step-path matrix above; here the meter's own
+# queries/control/residual partition sums back exactly) is asserted on
+# both paths of the step-path proof above; here the meter's own
 # tests run — behavior neutrality (digest identical with the meter on
 # or off), determinism of its exports, a positive energy-saved signal
 # with a coherent audit ledger, and the zero-alloc steady-state accrual
@@ -85,20 +103,21 @@ echo "== energy attribution under -race"
 go test -race -count=1 -run 'TestEnergyAttr' ./internal/sim
 go test -race -count=1 ./internal/obs/energyattr
 
-echo "== digest re-lock semantic check"
+step "digest re-lock semantic check"
 # The closed-form stretch integration (DESIGN.md §16) changes the
 # grouping of float sums, so energies are not byte-identical to the
-# per-quantum reference. The re-lock harness's fast mode regenerates a
-# figure subset under both groupings and proves that every integer
-# observable is byte-identical and every float agrees within epsilon.
+# per-quantum reference walk. The re-lock harness's fast mode regenerates
+# a figure subset on both paths and proves that every integer observable
+# is byte-identical and every float agrees within epsilon.
 relock_out=$(mktemp -d)
 ./scripts/relock.sh --check "$relock_out"
 rm -rf "$relock_out"
 
-echo "== parallel sweep byte-identity under -race"
+step "parallel sweep byte-identity under -race"
 # Not -short: the comparison regenerates a sized-down figure three times
 # (sequential, 2 workers, 4 workers) and diffs tables, JSONL event
 # streams, and metrics expositions byte for byte.
 go test -race -count=1 -run 'TestParallelSweepByteIdentical' ./internal/bench
 
-echo "check.sh: all green"
+end_step
+echo "check.sh: all green in $SECONDS s"

@@ -3,11 +3,11 @@
 #
 # The closed-form stretch integration changes the *grouping* of float
 # sums (P·(n·q) instead of n per-quantum adds), so float-carrying
-# artifacts are not byte-identical to the per-quantum reference even
+# artifacts are not byte-identical to the per-quantum reference walk even
 # though every value agrees to ~1e-12 relative. This script proves that
 # claim mechanically: it regenerates the figure and table artifacts
-# twice — once under the reference grouping (eclsim -nobatch) and once
-# under the batched default — and runs cmd/semdiff over the two trees,
+# twice — once on the reference walk (eclsim -reference) and once on the
+# production path — and runs cmd/semdiff over the two trees,
 # which asserts that all non-numeric text and every integer-rendered
 # observable (query counts, latencies, timestamps, event types, applied
 # configurations) match byte for byte while float-rendered values agree
@@ -41,7 +41,7 @@ trap 'rm -rf "$BIN"' EXIT
 go build -o "$BIN/eclsim" ./cmd/eclsim
 go build -o "$BIN/semdiff" ./cmd/semdiff
 
-# generate <dir> <nobatch-flag or "">: regenerate the artifact set into
+# generate <dir> <-reference or "">: regenerate the artifact set into
 # dir. Runs from inside dir so file names embedded in the rendered
 # output (trace written to ...) are identical across the two trees.
 generate() {
@@ -80,9 +80,9 @@ generate() {
     )
 }
 
-echo "== relock ($MODE): regenerating under the per-quantum reference grouping (-nobatch)"
-generate "$OUT/old" -nobatch
-echo "== relock ($MODE): regenerating under the batched default grouping"
+echo "== relock ($MODE): regenerating on the per-quantum reference walk (-reference)"
+generate "$OUT/old" -reference
+echo "== relock ($MODE): regenerating on the production path"
 generate "$OUT/new"
 
 echo "== relock ($MODE): semantic diff (eps $EPS)"
