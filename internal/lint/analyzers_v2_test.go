@@ -15,6 +15,16 @@ func TestHotpathFixture(t *testing.T) {
 	runFixture(t, []*Analyzer{hotPathAnalyzer()}, "hotpath/bad")
 }
 
+func TestHotpathCrossPackageFixture(t *testing.T) {
+	// The hot root and its dispatch targets live in two packages, so the
+	// implementing types and the interface (and the func-typed field and
+	// the value-taken function) are type-checked in different units.
+	// Both allocating targets must be reached; a same-named method of
+	// another signature and a matching function whose value is never
+	// taken must not be.
+	runFixture(t, []*Analyzer{hotPathAnalyzer()}, "hotpath/xpkg/api", "hotpath/xpkg/impl")
+}
+
 func TestHotpathNoMarksNoFindings(t *testing.T) {
 	// Without any //ecllint:hotpath annotation the analyzer is inert —
 	// run it over the floatorder fixture, which allocates plenty.

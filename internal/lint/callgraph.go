@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // This file builds the conservative static call graph the hotpath
@@ -287,6 +289,14 @@ func dynamicEdge(call *ast.CallExpr, typ types.Type, idx *cgIndex, desc string) 
 // interfaceEdge over-approximates a call through an interface method:
 // every in-module named type implementing the interface contributes its
 // method of that name.
+//
+// Implementation is decided by method names and sigKey strings, not by
+// types.Implements. The loader type-checks each unit from source and
+// reads its imports from export data, so an interface seen from the
+// calling unit and a type declared in another unit do not share
+// *types.Named objects: a method like AppendQuery(dst []workload.Op, ...)
+// would never be identical to its implementation, and the edge would
+// silently reach nothing.
 func interfaceEdge(call *ast.CallExpr, recv types.Type, m *types.Func, idx *cgIndex) []callEdge {
 	iface, ok := recv.Underlying().(*types.Interface)
 	if !ok {
@@ -294,32 +304,161 @@ func interfaceEdge(call *ast.CallExpr, recv types.Type, m *types.Func, idx *cgIn
 	}
 	e := callEdge{pos: call.Pos(), dynamic: "interface method " + m.Name()}
 	for _, named := range idx.namedTypes {
-		var impl types.Type = named
-		if !types.Implements(impl, iface) {
-			impl = types.NewPointer(named)
-			if !types.Implements(impl, iface) {
-				continue
-			}
+		if types.IsInterface(named) {
+			continue
 		}
-		obj, _, _ := types.LookupFieldOrMethod(impl, true, m.Pkg(), m.Name())
-		if fn, ok := obj.(*types.Func); ok {
+		// The pointer's method set holds the value-receiver methods too.
+		ms := types.NewMethodSet(types.NewPointer(named))
+		if fn := implements(ms, iface, m); fn != nil {
 			e.callees = append(e.callees, funcKey(fn))
 		}
 	}
 	return []callEdge{e}
 }
 
+// implements reports whether the method set ms has every method of iface,
+// matched by name (and package path, for unexported names) and by sigKey,
+// and returns ms's method matching m; nil if ms does not implement iface.
+func implements(ms *types.MethodSet, iface *types.Interface, m *types.Func) *types.Func {
+	var target *types.Func
+	for i := 0; i < iface.NumMethods(); i++ {
+		want := iface.Method(i)
+		var got *types.Func
+		for j := 0; j < ms.Len(); j++ {
+			if fn, ok := ms.At(j).Obj().(*types.Func); ok && sameMethodName(fn, want) {
+				got = fn
+				break
+			}
+		}
+		if got == nil || sigKey(got.Type().(*types.Signature)) != sigKey(want.Type().(*types.Signature)) {
+			return nil
+		}
+		if sameMethodName(got, m) {
+			target = got
+		}
+	}
+	return target
+}
+
+// sameMethodName reports whether two methods have the same name in the
+// sense of method-set lookup: an unexported name also needs the same
+// package, compared by path because the two may come from different
+// units.
+func sameMethodName(a, b *types.Func) bool {
+	if a.Name() != b.Name() {
+		return false
+	}
+	return a.Exported() || a.Pkg() != nil && b.Pkg() != nil && a.Pkg().Path() == b.Pkg().Path()
+}
+
 // sameSignature reports whether two signatures are interchangeable as
 // function values: identical parameter and result types, receivers
-// ignored (a method value's receiver is already bound).
-func sameSignature(a, b *types.Signature) bool {
-	bare := func(s *types.Signature) *types.Signature {
-		if s.Recv() == nil {
-			return s
+// ignored (a method value's receiver is already bound). It compares
+// sigKey strings for the same reason interfaceEdge does: a function
+// declared in one unit and a func-typed field read in another see
+// different objects for every named type in the signature.
+func sameSignature(a, b *types.Signature) bool { return sigKey(a) == sigKey(b) }
+
+// sigKey renders a signature without its receiver and parameter names,
+// with every named type qualified by its package path, so two units'
+// views of one signature render the same string.
+func sigKey(s *types.Signature) string {
+	var b strings.Builder
+	writeType(&b, s)
+	return b.String()
+}
+
+// writeType writes the canonical form of t: like types.TypeString with
+// full package paths, but with aliases resolved, parameter names dropped
+// and every empty interface written as "interface{}" (go/types prints the
+// universe's any as "any", a literal interface{} as "interface{}").
+func writeType(b *strings.Builder, t types.Type) {
+	switch t := types.Unalias(t).(type) {
+	case *types.Basic:
+		b.WriteString(types.Typ[t.Kind()].Name())
+	case *types.Pointer:
+		b.WriteByte('*')
+		writeType(b, t.Elem())
+	case *types.Slice:
+		b.WriteString("[]")
+		writeType(b, t.Elem())
+	case *types.Array:
+		fmt.Fprintf(b, "[%d]", t.Len())
+		writeType(b, t.Elem())
+	case *types.Map:
+		b.WriteString("map[")
+		writeType(b, t.Key())
+		b.WriteByte(']')
+		writeType(b, t.Elem())
+	case *types.Chan:
+		switch t.Dir() {
+		case types.SendRecv:
+			b.WriteString("chan ")
+		case types.SendOnly:
+			b.WriteString("chan<- ")
+		case types.RecvOnly:
+			b.WriteString("<-chan ")
 		}
-		return types.NewSignatureType(nil, nil, nil, s.Params(), s.Results(), s.Variadic())
+		writeType(b, t.Elem())
+	case *types.Named:
+		if pkg := t.Obj().Pkg(); pkg != nil {
+			b.WriteString(pkg.Path() + ".")
+		}
+		b.WriteString(t.Obj().Name())
+		if args := t.TypeArgs(); args != nil {
+			b.WriteByte('[')
+			for i := 0; i < args.Len(); i++ {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				writeType(b, args.At(i))
+			}
+			b.WriteByte(']')
+		}
+	case *types.Signature:
+		b.WriteString("func")
+		writeTuple(b, t.Params(), t.Variadic())
+		writeTuple(b, t.Results(), false)
+	case *types.Interface:
+		b.WriteString("interface{")
+		for i := 0; i < t.NumMethods(); i++ {
+			if i > 0 {
+				b.WriteByte(';')
+			}
+			b.WriteString(t.Method(i).Name())
+			writeType(b, t.Method(i).Type())
+		}
+		b.WriteByte('}')
+	case *types.Struct:
+		b.WriteString("struct{")
+		for i := 0; i < t.NumFields(); i++ {
+			if i > 0 {
+				b.WriteByte(';')
+			}
+			b.WriteString(t.Field(i).Name() + " ")
+			writeType(b, t.Field(i).Type())
+		}
+		b.WriteByte('}')
+	default: // type parameters and anything newer
+		b.WriteString(t.String())
 	}
-	return types.Identical(bare(a), bare(b))
+}
+
+// writeTuple writes a parenthesized, unnamed type list.
+func writeTuple(b *strings.Builder, t *types.Tuple, variadic bool) {
+	b.WriteByte('(')
+	for i := 0; i < t.Len(); i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		if variadic && i == t.Len()-1 {
+			b.WriteString("...")
+			writeType(b, t.At(i).Type().(*types.Slice).Elem())
+			continue
+		}
+		writeType(b, t.At(i).Type())
+	}
+	b.WriteByte(')')
 }
 
 // funcName renders a *types.Func for diagnostics: "(*Hub).DequeueOne",

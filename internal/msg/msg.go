@@ -20,6 +20,7 @@ package msg
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"time"
 )
 
@@ -31,31 +32,20 @@ type Message struct {
 	Instr float64
 	// Bytes is the modeled DRAM traffic of processing the message.
 	Bytes float64
-	// Exec optionally performs real work against the partition's data
-	// structures when the message is processed.
-	Exec func()
-	// ExecFn with ExecSt is the closure-free form of Exec: the processor
-	// calls ExecFn(ExecSt). Senders that dispatch many messages through
-	// one shared function use this pair instead of allocating a capturing
-	// closure per message.
-	ExecFn func(st any)
-	// ExecCtxFn with ExecSt and ExecCtx is the fully scalar-parameterized
-	// form: the processor calls ExecCtxFn(ExecSt, ExecCtx). Workloads
-	// whose sampled work depends only on a few packed scalars use it so
-	// neither the sender nor the workload allocates per message.
-	ExecCtxFn func(st any, ctx uint64)
+	// ExecCtxFn, if set, performs real work against the partition's data
+	// structures when the message is processed: the processor calls
+	// ExecCtxFn(ExecSt, rng, ExecCtx) with its own random source. The
+	// work is parameterized by a state pointer and a packed scalar, so
+	// neither the sender nor the processor allocates per message.
+	ExecCtxFn func(st any, rng *rand.Rand, ctx uint64)
 	// ExecCtx is the packed argument passed to ExecCtxFn.
 	ExecCtx uint64
-	// ExecSt is the state argument passed to ExecFn / ExecCtxFn.
+	// ExecSt is the state argument passed to ExecCtxFn.
 	ExecSt any
 	// Ctx is an opaque completion context owned by the sender. The message
 	// layer never touches it; the sender's processing loop uses it to find
-	// the bookkeeping record a finished message belongs to without a Done
-	// closure.
+	// the bookkeeping record a finished message belongs to.
 	Ctx any
-	// Done, if set, is invoked when processing completes, with the
-	// completion time (used for query latency accounting).
-	Done func(now time.Duration)
 	// Enqueued is the time the message entered the system.
 	Enqueued time.Duration
 	// DeliveredAt is the time the message arrived at its home socket's

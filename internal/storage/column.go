@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Column is an append-only typed column of 64-bit integers, the storage
 // primitive behind column scans (the paper's memory-bandwidth-bound access
@@ -23,6 +26,7 @@ func (c *Column) Len() int { return len(c.data) }
 
 // Append adds a value and returns its row position.
 func (c *Column) Append(v int64) int {
+	//ecllint:allow hotpath the column grows by the appended row; doubling amortizes the copies
 	c.data = append(c.data, v)
 	return len(c.data) - 1
 }
@@ -33,24 +37,29 @@ func (c *Column) Get(row int) int64 { return c.data[row] }
 // Set overwrites the value at a row position.
 func (c *Column) Set(row int, v int64) { c.data[row] = v }
 
-// Predicate selects rows by value.
-type Predicate func(int64) bool
+// Predicate selects the rows whose value lies in the closed interval
+// [Lo, Hi]. It is a value rather than a callback, so building and
+// applying one allocates nothing.
+type Predicate struct{ Lo, Hi int64 }
 
 // Between returns a predicate selecting lo <= v <= hi.
-func Between(lo, hi int64) Predicate {
-	return func(v int64) bool { return v >= lo && v <= hi }
-}
+func Between(lo, hi int64) Predicate { return Predicate{Lo: lo, Hi: hi} }
 
 // EqualTo returns a predicate selecting v == x.
-func EqualTo(x int64) Predicate {
-	return func(v int64) bool { return v == x }
-}
+func EqualTo(x int64) Predicate { return Predicate{Lo: x, Hi: x} }
 
-// Scan streams every value through the predicate and returns the matching
-// row positions. A nil predicate matches everything.
+// All returns a predicate selecting every value.
+func All() Predicate { return Predicate{Lo: math.MinInt64, Hi: math.MaxInt64} }
+
+// Match reports whether v satisfies the predicate.
+func (p Predicate) Match(v int64) bool { return v >= p.Lo && v <= p.Hi }
+
+// Scan streams every value through the predicate and appends the matching
+// row positions to out.
 func (c *Column) Scan(p Predicate, out []int) []int {
 	for row, v := range c.data {
-		if p == nil || p(v) {
+		if p.Match(v) {
+			//ecllint:allow hotpath hot callers pass partition-owned scratch, which stops growing at the largest match set
 			out = append(out, row)
 		}
 	}
@@ -62,7 +71,7 @@ func (c *Column) Scan(p Predicate, out []int) []int {
 func (c *Column) ScanAggregate(p Predicate) (count int, sum, min, max int64) {
 	first := true
 	for _, v := range c.data {
-		if p != nil && !p(v) {
+		if !p.Match(v) {
 			continue
 		}
 		count++

@@ -41,9 +41,9 @@ func TestColumnScanPredicates(t *testing.T) {
 	if len(rows) != 1 || rows[0] != 42 {
 		t.Fatalf("EqualTo scan = %v", rows)
 	}
-	rows = c.Scan(nil, nil)
+	rows = c.Scan(All(), nil)
 	if len(rows) != 100 {
-		t.Fatalf("nil predicate matched %d rows, want 100", len(rows))
+		t.Fatalf("All matched %d rows, want 100", len(rows))
 	}
 	// Scan appends to the provided slice.
 	prefix := []int{-1}
@@ -58,7 +58,7 @@ func TestColumnScanAggregate(t *testing.T) {
 	for _, v := range []int64{5, -3, 8, 0, 12} {
 		c.Append(v)
 	}
-	count, sum, min, max := c.ScanAggregate(nil)
+	count, sum, min, max := c.ScanAggregate(All())
 	if count != 5 || sum != 22 || min != -3 || max != 12 {
 		t.Fatalf("aggregate = %d,%d,%d,%d", count, sum, min, max)
 	}

@@ -264,7 +264,7 @@ func (h *HashIndex) grow() {
 	if h.live*maxLoadDen < len(oldPairs)*maxLoadNum/2 {
 		n = len(oldPairs) // tombstone-heavy: rehash in place size
 	}
-	h.pairs = make([]hpair, n)
+	h.pairs = make([]hpair, n) //ecllint:allow hotpath the index grows with its entries; each doubling is amortized over the inserts since the last one
 	h.states = make([]byte, n)
 	h.live, h.used = 0, 0
 	for i, s := range oldStates {

@@ -173,7 +173,7 @@ func (h *HashIndex32) MultiGet(keys []uint32, vals []uint32, found []bool) {
 // grow doubles the bucket array (also discarding tombstones).
 func (h *HashIndex32) grow() {
 	old, oldStates := h.slots, h.states
-	h.slots = make([]uint64, 2*len(old))
+	h.slots = make([]uint64, 2*len(old)) //ecllint:allow hotpath the index grows with its entries; each doubling is amortized over the inserts since the last one
 	h.states = make([]byte, 2*len(oldStates))
 	h.live, h.used = 0, 0
 	for i, s := range oldStates {

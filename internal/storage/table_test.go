@@ -88,7 +88,7 @@ func TestTableScanRows(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("matched %d rows, want 5", len(rows))
 	}
-	if _, err := tab.ScanRows("nope", nil); err == nil {
+	if _, err := tab.ScanRows("nope", All()); err == nil {
 		t.Fatal("scan of unknown column should fail")
 	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"ecldb/internal/perfmodel"
@@ -95,16 +94,9 @@ func (k *KV) NewPartition(partition int, rng *rand.Rand) PartitionState {
 	return st
 }
 
-// NewQuery implements Workload: one multi-get/multi-put batch against a
-// uniformly chosen partition. The indexed variant probes the hash index
+// AppendQuery implements Workload: one multi-get/multi-put batch against
+// a uniformly chosen partition. The indexed variant probes the hash index
 // per key; the non-indexed variant answers the batch with a column scan.
-func (k *KV) NewQuery(rng *rand.Rand, parts int) []Op {
-	return k.AppendQuery(nil, rng, parts)
-}
-
-// AppendQuery implements BatchQuerier: the same query stream as NewQuery
-// (identical rng draws, in order), written into the caller's buffer with
-// closure-free sampled work.
 func (k *KV) AppendQuery(dst []Op, rng *rand.Rand, parts int) []Op {
 	p := rng.Intn(parts)
 	key := rng.Uint32()
@@ -117,17 +109,15 @@ func (k *KV) AppendQuery(dst []Op, rng *rand.Rand, parts int) []Op {
 	if isGet {
 		fn = execKVGet
 	}
+	//ecllint:allow hotpath appends into the caller's reused op scratch; grows only until it holds the largest query
 	return append(dst, Op{Partition: p, Instr: instr, ExecFn: fn, ExecCtx: uint64(key)})
 }
 
 // execKVGet performs the sampled read work of one multi-get batch: the
 // store overlaps the probes' cache misses instead of serializing
 // kvExecSample dependent lookups.
-func execKVGet(st PartitionState, ctx uint64) {
-	kp, ok := st.(*kvPartition)
-	if !ok {
-		panic(fmt.Sprintf("workload: kv op on foreign partition state %T", st))
-	}
+func execKVGet(st PartitionState, _ *rand.Rand, ctx uint64) {
+	kp := st.(*kvPartition)
 	key := uint32(ctx)
 	var keys, vals [kvExecSample]uint32
 	var hit [kvExecSample]bool
@@ -138,11 +128,8 @@ func execKVGet(st PartitionState, ctx uint64) {
 }
 
 // execKVPut performs the sampled write work of one multi-put batch.
-func execKVPut(st PartitionState, ctx uint64) {
-	kp, ok := st.(*kvPartition)
-	if !ok {
-		panic(fmt.Sprintf("workload: kv op on foreign partition state %T", st))
-	}
+func execKVPut(st PartitionState, _ *rand.Rand, ctx uint64) {
+	kp := st.(*kvPartition)
 	key := uint32(ctx)
 	kp.store.Put(key, key^0x5a5a5a5a)
 }

@@ -16,8 +16,9 @@ type Micro struct {
 	chars perfmodel.Characteristics
 	// instrPerOp is the modeled cost of one operation.
 	instrPerOp float64
-	// exec produces the sampled real work for one operation.
-	exec func(rng *rand.Rand, st PartitionState)
+	// exec produces the sampled real work for one operation; it is the
+	// ops' ExecFn as is.
+	exec func(st PartitionState, rng *rand.Rand, ctx uint64)
 	// newPartition builds partition state.
 	newPartition func(partition int, rng *rand.Rand) PartitionState
 }
@@ -39,15 +40,11 @@ func (m *Micro) NewPartition(partition int, rng *rand.Rand) PartitionState {
 	return m.newPartition(partition, rng)
 }
 
-// NewQuery implements Workload.
-func (m *Micro) NewQuery(rng *rand.Rand, parts int) []Op {
+// AppendQuery implements Workload.
+func (m *Micro) AppendQuery(dst []Op, rng *rand.Rand, parts int) []Op {
 	p := rng.Intn(parts)
-	var exec func(PartitionState)
-	if m.exec != nil {
-		ex := m.exec
-		exec = func(st PartitionState) { ex(rng, st) }
-	}
-	return []Op{{Partition: p, Instr: m.instrPerOp, Exec: exec}}
+	//ecllint:allow hotpath appends into the caller's reused op scratch; grows only until it holds the largest query
+	return append(dst, Op{Partition: p, Instr: m.instrPerOp, ExecFn: m.exec})
 }
 
 // computePartition is the state of the compute-bound micro-workload: a
@@ -73,7 +70,7 @@ func NewComputeBound() *Micro {
 		newPartition: func(int, *rand.Rand) PartitionState {
 			return &computePartition{}
 		},
-		exec: func(_ *rand.Rand, st PartitionState) {
+		exec: func(st PartitionState, _ *rand.Rand, _ uint64) {
 			cp := st.(*computePartition)
 			for i := 0; i < 64; i++ {
 				cp.counter++
@@ -95,7 +92,7 @@ func NewMemoryScan() *Micro {
 			}
 			return &scanPartition{col: col}
 		},
-		exec: func(rng *rand.Rand, st PartitionState) {
+		exec: func(st PartitionState, rng *rand.Rand, _ uint64) {
 			sp := st.(*scanPartition)
 			// Sampled slice of the full modeled scan.
 			sp.col.ScanAggregate(storage.Between(0, int64(rng.Intn(1000))))
@@ -119,7 +116,7 @@ func NewAtomicContention() *Micro {
 		name:       "atomic-contention",
 		chars:      perfmodel.AtomicContention(),
 		instrPerOp: 60_000,
-		exec: func(*rand.Rand, PartitionState) {
+		exec: func(PartitionState, *rand.Rand, uint64) {
 			for i := 0; i < 16; i++ {
 				sharedCounter++
 			}
@@ -137,7 +134,7 @@ func NewHashTableInsert() *Micro {
 		newPartition: func(int, *rand.Rand) PartitionState {
 			return &hashPartition{idx: storage.NewHashIndex(1024)}
 		},
-		exec: func(rng *rand.Rand, st PartitionState) {
+		exec: func(st PartitionState, rng *rand.Rand, _ uint64) {
 			hp := st.(*hashPartition)
 			for i := 0; i < 8; i++ {
 				hp.next++
@@ -161,9 +158,9 @@ func NewFullLoad() *Micro {
 			}
 			return &scanPartition{col: col}
 		},
-		exec: func(_ *rand.Rand, st PartitionState) {
+		exec: func(st PartitionState, _ *rand.Rand, _ uint64) {
 			sp := st.(*scanPartition)
-			sp.col.ScanAggregate(nil)
+			sp.col.ScanAggregate(storage.All())
 		},
 	}
 }

@@ -36,6 +36,7 @@ func (s *Split) Indexed() bool { return s.A.Indexed() && s.B.Indexed() }
 // caller does not ask per socket.
 func (s *Split) Characteristics() perfmodel.Characteristics {
 	r := s.ratio()
+	//ecllint:allow hotpath Split implements PerSocketWorkload, so the engine's step path asks SocketCharacteristics and never reaches this machine-wide blend
 	return perfmodel.Blend(s.A.Characteristics(), s.B.Characteristics(), r, 1-r)
 }
 
@@ -56,21 +57,22 @@ func (s *Split) NewPartition(partition int, rng *rand.Rand) PartitionState {
 	return s.B.NewPartition(partition, rng)
 }
 
-// NewQuery implements Workload: draw from A or B and rewrite the target
-// partitions onto the sub-workload's sockets.
-func (s *Split) NewQuery(rng *rand.Rand, parts int) []Op {
+// AppendQuery implements Workload: draw from A or B and rewrite the
+// target partitions of the appended ops onto the sub-workload's sockets.
+func (s *Split) AppendQuery(dst []Op, rng *rand.Rand, parts int) []Op {
 	useA := rng.Float64() < s.ratio()
 	wl := s.B
 	if useA {
 		wl = s.A
 	}
-	ops := wl.NewQuery(rng, parts)
+	n := len(dst)
+	dst = wl.AppendQuery(dst, rng, parts)
 	// Remap each op's partition onto a partition whose home socket
 	// belongs to the chosen sub-workload, preserving the op's spread.
-	for i := range ops {
-		ops[i].Partition = s.remap(ops[i].Partition, parts, useA)
+	for i := n; i < len(dst); i++ {
+		dst[i].Partition = s.remap(dst[i].Partition, parts, useA)
 	}
-	return ops
+	return dst
 }
 
 // ratio returns the A-share, defaulting to one half.

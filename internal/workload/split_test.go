@@ -46,7 +46,7 @@ func TestSplitQueriesTargetCorrectSockets(t *testing.T) {
 	}
 	sawEven, sawOdd := false, false
 	for q := 0; q < 500; q++ {
-		for _, op := range s.NewQuery(rng, parts) {
+		for _, op := range s.AppendQuery(nil, rng, parts) {
 			if op.Partition < 0 || op.Partition >= parts {
 				t.Fatalf("op partition %d out of range", op.Partition)
 			}
@@ -55,10 +55,10 @@ func TestSplitQueriesTargetCorrectSockets(t *testing.T) {
 			} else {
 				sawOdd = true
 			}
-			if op.HasExec() {
+			if op.ExecFn != nil {
 				// Partition states must match the op's sub-workload:
 				// executing against the wrong state would panic.
-				op.Run(states[op.Partition])
+				op.ExecFn(states[op.Partition], rng, op.ExecCtx)
 			}
 		}
 	}
@@ -74,7 +74,7 @@ func TestSplitRatio(t *testing.T) {
 	even := 0
 	const n = 2000
 	for q := 0; q < n; q++ {
-		ops := s.NewQuery(rng, 16)
+		ops := s.AppendQuery(nil, rng, 16)
 		if ops[0].Partition%2 == 0 {
 			even++
 		}

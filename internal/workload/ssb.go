@@ -67,32 +67,38 @@ type SSB struct {
 	// uniformly). Used to render per-query energy profiles such as the
 	// paper's appendix Q2.1 figures.
 	only string
+	name string
 }
 
 // NewSSB returns SSB in the chosen access-path variant.
-func NewSSB(indexed bool) *SSB { return &SSB{indexed: indexed} }
+func NewSSB(indexed bool) *SSB { return newSSB(indexed, "") }
 
 // NewSSBQuery returns SSB restricted to a single query id (e.g. "Q2.1").
 func NewSSBQuery(indexed bool, id string) (*SSB, error) {
 	for _, q := range ssbQueries {
 		if q.id == id {
-			return &SSB{indexed: indexed, only: id}, nil
+			return newSSB(indexed, id), nil
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown SSB query %q", id)
 }
 
-// Name implements Workload.
-func (w *SSB) Name() string {
+// newSSB builds the workload and its name.
+func newSSB(indexed bool, only string) *SSB {
 	n := "ssb"
-	if w.only != "" {
-		n += "-" + w.only
+	if only != "" {
+		n += "-" + only
 	}
-	if w.indexed {
-		return n + "-indexed"
+	if indexed {
+		n += "-indexed"
+	} else {
+		n += "-nonindexed"
 	}
-	return n + "-nonindexed"
+	return &SSB{indexed: indexed, only: only, name: n}
 }
+
+// Name implements Workload.
+func (w *SSB) Name() string { return w.name }
 
 // Indexed implements Workload.
 func (w *SSB) Indexed() bool { return w.indexed }
@@ -119,6 +125,8 @@ type ssbPartition struct {
 	part      *storage.Table
 	supplier  *storage.Table
 	customer  *storage.Table
+	// orderdate is the lineorder column the sampled scans read.
+	orderdate *storage.Column
 }
 
 // NewPartition implements Workload.
@@ -150,6 +158,7 @@ func (w *SSB) NewPartition(partition int, rng *rand.Rand) PartitionState {
 	fill(st.part, ssbPartRows, func(k int64) []int64 { return []int64{k, k % 40, k % 25} })
 	fill(st.supplier, ssbSuppRows, func(k int64) []int64 { return []int64{k, k % 25, k % 5} })
 	fill(st.customer, ssbCustRows, func(k int64) []int64 { return []int64{k, k % 25, k % 5} })
+	st.orderdate = st.lineorder.Column("orderdate")
 	fill(st.lineorder, ssbRowsPerPartition, func(int64) []int64 {
 		return []int64{
 			rng.Int63n(ssbDateRows), rng.Int63n(ssbCustRows), rng.Int63n(ssbSuppRows),
@@ -170,9 +179,10 @@ func (w *SSB) opInstr(q ssbQuery) float64 {
 	return q.perRowScan * ssbRowsPerPartition
 }
 
-// NewQuery implements Workload: one SSB query fanning out to every
-// partition with a merge at a random coordinator.
-func (w *SSB) NewQuery(rng *rand.Rand, parts int) []Op {
+// AppendQuery implements Workload: one SSB query fanning out to every
+// partition with a merge at a random coordinator. Every partition op runs
+// execSSB with the lower bound of the query's date window in ExecCtx.
+func (w *SSB) AppendQuery(dst []Op, rng *rand.Rand, parts int) []Op {
 	q := ssbQueries[rng.Intn(len(ssbQueries))]
 	if w.only != "" {
 		for _, cand := range ssbQueries {
@@ -184,33 +194,32 @@ func (w *SSB) NewQuery(rng *rand.Rand, parts int) []Op {
 	}
 	instr := w.opInstr(q)
 	lo := rng.Intn(ssbDateRows - ssbDateRows/8)
-	pred := storage.Between(int64(lo), int64(lo+ssbDateRows/8))
-	ops := make([]Op, 0, parts+1)
 	for p := 0; p < parts; p++ {
-		ops = append(ops, Op{
-			Partition: p,
-			Instr:     instr,
-			Exec: func(st PartitionState) {
-				sp := st.(*ssbPartition)
-				// Sampled real scan window with a join probe per match.
-				od := sp.lineorder.Column("orderdate")
-				n := od.Len()
-				start := rng.Intn(n - ssbExecSampleRows)
-				for row := start; row < start+ssbExecSampleRows; row++ {
-					v := od.Get(row)
-					if pred(v) {
-						sp.date.LookupRow(v)
-					}
-				}
-			},
-		})
+		//ecllint:allow hotpath appends into the caller's reused op scratch; grows only until it holds the largest query
+		dst = append(dst, Op{Partition: p, Instr: instr, ExecFn: execSSB, ExecCtx: uint64(lo)})
 	}
 	// Merge at the coordinator.
-	ops = append(ops, Op{
+	//ecllint:allow hotpath appends into the caller's reused op scratch; grows only until it holds the largest query
+	return append(dst, Op{
 		Partition: rng.Intn(parts),
 		Instr:     float64(parts) * ssbMergeInstrPerPartition,
 	})
-	return ops
+}
+
+// execSSB performs one partition's sampled work of an SSB query: a scan
+// window of the order dates, starting at a row drawn from rng at
+// execution time, with a date-dimension probe per row inside the query's
+// date range [ctx, ctx+ssbDateRows/8].
+func execSSB(st PartitionState, rng *rand.Rand, ctx uint64) {
+	sp := st.(*ssbPartition)
+	pred := storage.Between(int64(ctx), int64(ctx)+ssbDateRows/8)
+	n := sp.orderdate.Len()
+	start := rng.Intn(n - ssbExecSampleRows)
+	for row := start; row < start+ssbExecSampleRows; row++ {
+		if v := sp.orderdate.Get(row); pred.Match(v) {
+			sp.date.LookupRow(v)
+		}
+	}
 }
 
 // QueryIDs returns the 13 SSB query identifiers.

@@ -19,8 +19,8 @@ import (
 )
 
 // PartitionState is the opaque partition-local data of a workload. It is
-// an alias (not a defined type) so an Op's Exec callback is assignable to
-// lower layers' generic func(any) hooks without a wrapping closure.
+// an alias (not a defined type) so an Op's ExecFn is assignable to lower
+// layers' func(any, ...) hooks without a wrapping closure.
 type PartitionState = interface{}
 
 // Op is one operation of a query, addressed to a data partition.
@@ -30,31 +30,18 @@ type Op struct {
 	// Instr is the modeled instruction cost of the operation at full
 	// scale.
 	Instr float64
-	// Exec optionally performs a bounded sample of real work against
-	// the partition's data structures.
-	Exec func(PartitionState)
-	// ExecFn with ExecCtx is the closure-free form of Exec: the engine
-	// calls ExecFn(state, ExecCtx). Workloads whose sampled work is
-	// parameterized by a few packed scalars use this pair so the
-	// per-query generation path allocates no capturing closure.
-	ExecFn func(st PartitionState, ctx uint64)
+	// ExecFn optionally performs a bounded sample of real work against
+	// the partition's data structures. The engine calls
+	// ExecFn(state, rng, ExecCtx) when a worker processes the op: state
+	// is the target partition's data, rng the engine's random source at
+	// execution time (the one AppendQuery drew from), and ExecCtx the
+	// op's packed scalar parameters. ExecFn values are built once
+	// (package-level functions, or closures made with the workload), so
+	// generating a query allocates no closure.
+	ExecFn func(st PartitionState, rng *rand.Rand, ctx uint64)
 	// ExecCtx is the packed argument passed to ExecFn.
 	ExecCtx uint64
 }
-
-// Run executes the op's sampled work against st, dispatching to
-// whichever exec form the op carries (ExecFn preferred). It is a no-op
-// for ops without sampled work.
-func (op *Op) Run(st PartitionState) {
-	if op.ExecFn != nil {
-		op.ExecFn(st, op.ExecCtx)
-	} else if op.Exec != nil {
-		op.Exec(st)
-	}
-}
-
-// HasExec reports whether the op carries sampled work in either form.
-func (op *Op) HasExec() bool { return op.ExecFn != nil || op.Exec != nil }
 
 // Workload is a benchmark workload.
 type Workload interface {
@@ -67,20 +54,10 @@ type Workload interface {
 	Characteristics() perfmodel.Characteristics
 	// NewPartition builds the partition-local data of one partition.
 	NewPartition(partition int, rng *rand.Rand) PartitionState
-	// NewQuery emits the operations of the next query over a database
-	// with parts partitions.
-	NewQuery(rng *rand.Rand, parts int) []Op
-}
-
-// BatchQuerier is implemented by workloads that can emit a query's
-// operations into a caller-owned buffer. AppendQuery must draw exactly
-// the same random values in exactly the same order as NewQuery and
-// produce equivalent operations; the only difference is that the caller
-// provides the storage, so the steady-state submit path allocates
-// nothing. Workloads whose sampled work cannot be expressed without a
-// capturing closure (e.g. SSB's scans, which draw from the engine rng at
-// execution time) simply do not implement it.
-type BatchQuerier interface {
+	// AppendQuery appends the operations of the next query over a
+	// database with parts partitions to dst and returns the extended
+	// slice. The caller owns dst, so a caller that passes its scratch
+	// back in (dst[:0]) generates queries without allocating.
 	AppendQuery(dst []Op, rng *rand.Rand, parts int) []Op
 }
 

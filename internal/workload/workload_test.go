@@ -50,7 +50,7 @@ func TestQueriesExecuteAgainstOwnPartitions(t *testing.T) {
 				states[p] = w.NewPartition(p, rng)
 			}
 			for q := 0; q < 200; q++ {
-				ops := w.NewQuery(rng, testParts)
+				ops := w.AppendQuery(nil, rng, testParts)
 				if len(ops) == 0 {
 					t.Fatalf("query %d has no ops", q)
 				}
@@ -61,8 +61,8 @@ func TestQueriesExecuteAgainstOwnPartitions(t *testing.T) {
 					if op.Instr <= 0 {
 						t.Fatalf("op has non-positive cost %v", op.Instr)
 					}
-					if op.HasExec() {
-						op.Run(states[op.Partition])
+					if op.ExecFn != nil {
+						op.ExecFn(states[op.Partition], rng, op.ExecCtx)
 					}
 				}
 			}
@@ -72,8 +72,8 @@ func TestQueriesExecuteAgainstOwnPartitions(t *testing.T) {
 
 func TestKVVariantsDifferInCost(t *testing.T) {
 	rng := testRng()
-	idx := NewKV(true).NewQuery(rng, testParts)[0].Instr
-	scan := NewKV(false).NewQuery(rng, testParts)[0].Instr
+	idx := NewKV(true).AppendQuery(nil, rng, testParts)[0].Instr
+	scan := NewKV(false).AppendQuery(nil, rng, testParts)[0].Instr
 	if idx != kvIndexedAccessInstr*kvMultiGet {
 		t.Errorf("indexed batch cost = %.0f, want %d", idx, kvIndexedAccessInstr*kvMultiGet)
 	}
@@ -107,7 +107,7 @@ func TestTATPMixCoversAllTransactions(t *testing.T) {
 	opCounts := map[int]int{}
 	multi := 0
 	for q := 0; q < 5000; q++ {
-		ops := w.NewQuery(rng, testParts)
+		ops := w.AppendQuery(nil, rng, testParts)
 		opCounts[len(ops)]++
 		if len(ops) > 1 {
 			multi++
@@ -125,7 +125,7 @@ func TestTATPCrossPartitionTargetsDiffer(t *testing.T) {
 	w := NewTATP(false)
 	rng := testRng()
 	for q := 0; q < 2000; q++ {
-		ops := w.NewQuery(rng, testParts)
+		ops := w.AppendQuery(nil, rng, testParts)
 		if len(ops) == 2 && ops[0].Partition == ops[1].Partition {
 			t.Fatal("cross-partition op targets the home partition")
 		}
@@ -136,7 +136,7 @@ func TestTATPSinglePartitionWhenAlone(t *testing.T) {
 	w := NewTATP(true)
 	rng := testRng()
 	for q := 0; q < 1000; q++ {
-		for _, op := range w.NewQuery(rng, 1) {
+		for _, op := range w.AppendQuery(nil, rng, 1) {
 			if op.Partition != 0 {
 				t.Fatal("ops must stay on partition 0")
 			}
@@ -147,7 +147,7 @@ func TestTATPSinglePartitionWhenAlone(t *testing.T) {
 func TestSSBFanOutAndMerge(t *testing.T) {
 	w := NewSSB(false)
 	rng := testRng()
-	ops := w.NewQuery(rng, testParts)
+	ops := w.AppendQuery(nil, rng, testParts)
 	if len(ops) != testParts+1 {
 		t.Fatalf("SSB query has %d ops, want %d scans + 1 merge", len(ops), testParts)
 	}
@@ -162,8 +162,8 @@ func TestSSBFanOutAndMerge(t *testing.T) {
 
 func TestSSBIndexedCheaperThanScan(t *testing.T) {
 	rng := testRng()
-	idx := NewSSB(true).NewQuery(rng, testParts)[0].Instr
-	scan := NewSSB(false).NewQuery(rng, testParts)[0].Instr
+	idx := NewSSB(true).AppendQuery(nil, rng, testParts)[0].Instr
+	scan := NewSSB(false).AppendQuery(nil, rng, testParts)[0].Instr
 	if idx >= scan {
 		t.Errorf("indexed per-partition cost %.0f should undercut scan %.0f", idx, scan)
 	}
@@ -211,7 +211,7 @@ func TestSSBSelectivityOrderingWithinFlights(t *testing.T) {
 func TestMicroQueriesSingleOp(t *testing.T) {
 	rng := testRng()
 	for _, w := range Micros() {
-		ops := w.NewQuery(rng, testParts)
+		ops := w.AppendQuery(nil, rng, testParts)
 		if len(ops) != 1 {
 			t.Errorf("%s query has %d ops, want 1", w.Name(), len(ops))
 		}

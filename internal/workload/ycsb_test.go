@@ -40,11 +40,11 @@ func TestYCSBQueriesExecute(t *testing.T) {
 		states[p] = y.NewPartition(p, rng)
 	}
 	for q := 0; q < 200; q++ {
-		for _, op := range y.NewQuery(rng, 4) {
+		for _, op := range y.AppendQuery(nil, rng, 4) {
 			if op.Instr <= 0 || op.Partition < 0 || op.Partition >= 4 {
 				t.Fatal("bad op")
 			}
-			op.Run(states[op.Partition])
+			op.ExecFn(states[op.Partition], rng, op.ExecCtx)
 		}
 	}
 }
