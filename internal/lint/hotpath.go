@@ -11,12 +11,13 @@ import (
 // roots the analysis; the function and every in-module function
 // reachable from it through the conservative call graph (callgraph.go)
 // must not allocate: no escaping composite literals, make/new, append
-// growth, interface boxing, capturing closures, string concatenation,
-// or fmt/reflect calls. The zero-allocation steady state is part of the
-// determinism contract — a GC cycle in the middle of a measured step
-// perturbs nothing in virtual time, but the AllocsPerRun tests that
-// gate the figure pipeline (see scripts/check.sh) only stay at zero if
-// the hot loop genuinely does not touch the heap.
+// growth, interface boxing, assertions to method interfaces, capturing
+// closures, string concatenation, or fmt/reflect calls. The
+// zero-allocation steady state is part of the determinism contract — a
+// GC cycle in the middle of a measured step perturbs nothing in virtual
+// time, but the AllocsPerRun tests that gate the figure pipeline (see
+// scripts/check.sh) only stay at zero if the hot loop genuinely does not
+// touch the heap.
 //
 // Two escape hatches exist, both spelled //ecllint:allow hotpath <why>:
 // on a call site the directive cuts the call-graph edges of that site
@@ -169,10 +170,38 @@ func scanHotBody(pass *SuitePass, node *graphNode, root string) {
 			if v := capturedVar(u, n); v != "" {
 				pass.Reportf(u, n.Pos(), "hot path (root %s): closure capturing %q allocates in %s", root, v, node.name)
 			}
+		case *ast.TypeAssertExpr:
+			if n.Type != nil && isMethodInterface(u, n.Type) {
+				pass.Reportf(u, n.Pos(), "hot path (root %s): assertion to interface %s fills a runtime cache that allocates in %s",
+					root, u.Info.Types[n.Type].Type, node.name)
+			}
+		case *ast.TypeSwitchStmt:
+			for _, c := range n.Body.List {
+				for _, e := range c.(*ast.CaseClause).List {
+					if isMethodInterface(u, e) {
+						pass.Reportf(u, e.Pos(), "hot path (root %s): type switch case %s fills a runtime cache that allocates in %s",
+							root, u.Info.Types[e].Type, node.name)
+					}
+				}
+			}
 		case *ast.CallExpr:
 			scanHotCall(pass, node, root, n)
 		}
 	})
+}
+
+// isMethodInterface reports whether the type expression e denotes an
+// interface with methods. Asserting to one, directly or in a type switch
+// case, looks the dynamic type up in a per-site cache that the runtime
+// rebuilds, on the heap, at random misses until every type seen there
+// is cached; an empty interface needs no lookup.
+func isMethodInterface(u *Unit, e ast.Expr) bool {
+	t := u.Info.Types[e].Type
+	if t == nil {
+		return false
+	}
+	it, ok := t.Underlying().(*types.Interface)
+	return ok && !it.Empty()
 }
 
 // scanHotCall flags allocating calls: make/new/append builtins, calls

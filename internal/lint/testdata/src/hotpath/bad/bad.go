@@ -1,7 +1,8 @@
 // Package bad exercises the hotpath analyzer: one annotated root, every
-// allocation class, reachability through static calls, interface
-// dispatch, and function values, plus the two suppression forms (finding
-// suppression and call-edge cutting).
+// allocation class (assertions to method interfaces included),
+// reachability through static calls, interface dispatch, and function
+// values, plus the two suppression forms (finding suppression and
+// call-edge cutting).
 package bad
 
 import "fmt"
@@ -15,6 +16,11 @@ type state struct {
 // implementations become reachable.
 type Worker interface {
 	Work() int
+}
+
+// A Sizer is an optional interface the hot loop asserts for.
+type Sizer interface {
+	Size() int
 }
 
 type fastWorker struct{ n int }
@@ -44,6 +50,15 @@ func Step(s *state, w Worker, n int) int {
 	f := func() int { return n } // want "closure capturing"
 	sink(n)                      // want "boxing int into interface"
 	fmt.Sprintln()               // want "fmt.Sprintln allocates"
+	if sz, ok := w.(Sizer); ok { // want "assertion to interface"
+		n += sz.Size()
+	}
+	switch w.(type) {
+	case Sizer: // want "type switch case"
+	case fastWorker, nil:
+	}
+	_ = any(p).(*state) // concrete and empty-interface assertions need no cache
+	_ = w.(any)
 	helper(s)
 	hook()
 	//ecllint:allow hotpath warmup runs once before the steady state begins
