@@ -1,7 +1,9 @@
 // benchdiff compares the two newest benchmark snapshots written by
-// scripts/bench.sh (BENCH_<date>.json) and prints a per-benchmark delta
-// table: ns/op, and — when both snapshots carry them — bytes/op and
-// allocs/op. It is a trend-spotting aid, not a gate: CI runs it
+// scripts/bench.sh (BENCH_<UTC timestamp>_<commit>.json, or the older
+// BENCH_<date>.json) and prints a per-benchmark delta table: ns/op, and
+// — when both snapshots carry them — bytes/op and allocs/op. A "host
+// changed" line heads the table when the snapshots record different
+// host CPUs. It is a trend-spotting aid, not a gate: CI runs it
 // non-blocking after the snapshot step, so a noisy runner can never fail
 // the build, but a regression is visible in the log the day it lands.
 //
@@ -11,8 +13,9 @@
 //
 // With explicit file arguments the two snapshots are compared in the
 // given order. Without them, the tool globs dir for BENCH_*.json and
-// compares the lexically-newest two (the date-stamped names sort
-// chronologically). Fewer than two snapshots is a clean no-op — the
+// compares the lexically-newest two (the date- and timestamp-stamped
+// names sort chronologically; a bare date sorts before the same day's
+// timestamps). Fewer than two snapshots is a clean no-op — the
 // first CI run after a snapshot-schema change has nothing to diff.
 //
 // -fail-over N exits nonzero when any benchmark's ns/op regressed by
@@ -33,6 +36,7 @@ type snapshot struct {
 	Date       string      `json:"date"`
 	Go         string      `json:"go"`
 	Commit     string      `json:"commit"`
+	HostCPU    string      `json:"host_cpu"`
 	Benchtime  string      `json:"benchtime"`
 	Benchmarks []benchmark `json:"benchmarks"`
 }
@@ -96,6 +100,9 @@ func diff(w *tabwriter.Writer, oldS, newS *snapshot) float64 {
 	for _, b := range oldS.Benchmarks {
 		oldBy[b.Name] = b
 	}
+	if oldS.HostCPU != newS.HostCPU {
+		fmt.Fprintf(w, "host changed: %s -> %s; ns/op deltas include the host\n", hostCPU(oldS), hostCPU(newS))
+	}
 	sameTime := oldS.Benchtime == newS.Benchtime
 	fmt.Fprintf(w, "benchmark\told ns/op\tnew ns/op\tdelta\tallocs/op\n")
 	worst := 0.0
@@ -128,6 +135,14 @@ func diff(w *tabwriter.Writer, oldS, newS *snapshot) float64 {
 		fmt.Fprintf(w, "%s\t%.0f\t-\tremoved\t\n", name, oldBy[name].NsPerOp)
 	}
 	return worst
+}
+
+// hostCPU names a snapshot's host for the host-change line.
+func hostCPU(s *snapshot) string {
+	if s.HostCPU == "" {
+		return "(unrecorded)"
+	}
+	return s.HostCPU
 }
 
 // allocsCell formats the allocs/op transition for one benchmark row.

@@ -96,25 +96,77 @@ func TestDiffBenchtimeChange(t *testing.T) {
 	}
 }
 
-// TestPickNewestTwo asserts the date-stamped names sort chronologically
-// and the newest two win, and that fewer than two snapshots is a clean
-// nothing-to-diff.
-func TestPickNewestTwo(t *testing.T) {
-	dir := t.TempDir()
-	writeSnapshot(t, dir, "BENCH_2026-07-30.json", oldSnap)
-	older := writeSnapshot(t, dir, "BENCH_2026-08-07.json", oldSnap)
-	newer := writeSnapshot(t, dir, "BENCH_2026-08-08.json", newSnap)
-	gotOld, gotNew, err := pick(dir)
+// TestDiffHostChange asserts a host change heads the table, naming both
+// hosts (a snapshot from before bench.sh recorded the host reads as
+// unrecorded), and that one host on both sides prints no such line.
+func TestDiffHostChange(t *testing.T) {
+	withHost := func(snap, host string) *snapshot {
+		t.Helper()
+		body := strings.Replace(snap, `"benchtime"`, `"host_cpu": "`+host+`", "benchtime"`, 1)
+		s, err := load(writeSnapshot(t, t.TempDir(), "s.json", body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	render := func(oldS, newS *snapshot) string {
+		var buf bytes.Buffer
+		w := tabwriter.NewWriter(&buf, 0, 4, 2, ' ', 0)
+		diff(w, oldS, newS)
+		w.Flush()
+		return buf.String()
+	}
+
+	out := render(withHost(oldSnap, "Xeon A, nproc 2"), withHost(newSnap, "EPYC B, nproc 4"))
+	if !strings.HasPrefix(out, "host changed: Xeon A, nproc 2 -> EPYC B, nproc 4") {
+		t.Errorf("host change not reported first:\n%s", out)
+	}
+	legacy, err := load(writeSnapshot(t, t.TempDir(), "old.json", oldSnap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotOld != older || gotNew != newer {
-		t.Errorf("pick = (%s, %s), want (%s, %s)", gotOld, gotNew, older, newer)
+	if out := render(legacy, withHost(newSnap, "EPYC B, nproc 4")); !strings.Contains(out, "host changed: (unrecorded) -> EPYC B") {
+		t.Errorf("unrecorded old host not reported:\n%s", out)
+	}
+	if out := render(withHost(oldSnap, "Xeon A, nproc 2"), withHost(newSnap, "Xeon A, nproc 2")); strings.Contains(out, "host changed") {
+		t.Errorf("same host reported as a change:\n%s", out)
+	}
+}
+
+// TestPickNewestTwo asserts the stamped names sort chronologically and
+// the newest two win — bare dates, timestamped names, and the two mixed,
+// where a bare date sorts before the same day's timestamps — and that
+// fewer than two snapshots is a clean nothing-to-diff.
+func TestPickNewestTwo(t *testing.T) {
+	for _, c := range []struct {
+		files        []string
+		older, newer string
+	}{
+		{[]string{"BENCH_2026-07-30.json", "BENCH_2026-08-07.json", "BENCH_2026-08-08.json"},
+			"BENCH_2026-08-07.json", "BENCH_2026-08-08.json"},
+		{[]string{"BENCH_2026-08-08.json", "BENCH_2026-08-08T140501Z_1a2b3c4.json", "BENCH_2026-08-08T091500Z_9f8e7d6.json"},
+			"BENCH_2026-08-08T091500Z_9f8e7d6.json", "BENCH_2026-08-08T140501Z_1a2b3c4.json"},
+		{[]string{"BENCH_2026-08-07T235959Z_1a2b3c4.json", "BENCH_2026-08-08.json", "BENCH_2026-08-08T000001Z_9f8e7d6-dirty.json"},
+			"BENCH_2026-08-08.json", "BENCH_2026-08-08T000001Z_9f8e7d6-dirty.json"},
+		{[]string{"BENCH_2026-08-08T120000Z_1a2b3c4.json", "BENCH_2026-08-09.json", "BENCH_2026-08-07.json"},
+			"BENCH_2026-08-08T120000Z_1a2b3c4.json", "BENCH_2026-08-09.json"},
+	} {
+		dir := t.TempDir()
+		for _, f := range c.files {
+			writeSnapshot(t, dir, f, oldSnap)
+		}
+		gotOld, gotNew, err := pick(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(gotOld) != c.older || filepath.Base(gotNew) != c.newer {
+			t.Errorf("pick over %v = (%s, %s), want (%s, %s)", c.files, gotOld, gotNew, c.older, c.newer)
+		}
 	}
 
 	solo := t.TempDir()
 	writeSnapshot(t, solo, "BENCH_2026-08-08.json", newSnap)
-	gotOld, gotNew, err = pick(solo)
+	gotOld, gotNew, err := pick(solo)
 	if err != nil {
 		t.Fatal(err)
 	}

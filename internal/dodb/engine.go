@@ -28,22 +28,22 @@ import (
 	"ecldb/internal/workload"
 )
 
+const (
+	// batchSize is the number of messages a worker processes per
+	// partition ownership.
+	batchSize = 64
+	// latencyWindow is the sliding window of the latency tracker.
+	latencyWindow = time.Second
+)
+
 // Config configures the engine.
 type Config struct {
-	// Topo is the machine topology workers are pinned to.
+	// Topo is the machine topology workers are pinned to. The engine
+	// holds one data partition per hardware thread (the paper's 1:1
+	// worker-partition ratio at the full configuration).
 	Topo hw.Topology
 	// Workload drives data population and query generation.
 	Workload workload.Workload
-	// Partitions is the number of data partitions; 0 means one per
-	// hardware thread (the paper's 1:1 worker-partition ratio at the
-	// full configuration).
-	Partitions int
-	// BatchSize is the number of messages a worker processes per
-	// partition ownership; 0 means 64.
-	BatchSize int
-	// LatencyWindow is the sliding window of the latency tracker;
-	// 0 means one second.
-	LatencyWindow time.Duration
 	// StaticBinding disables the elasticity extension: each partition
 	// is served exclusively by its statically assigned hardware thread,
 	// as in the original data-oriented architecture. Used by the
@@ -219,23 +219,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("dodb: no workload")
 	}
-	if cfg.Partitions == 0 {
-		cfg.Partitions = cfg.Topo.TotalThreads()
-	}
-	if cfg.Partitions < 1 {
-		return nil, fmt.Errorf("dodb: invalid partition count %d", cfg.Partitions)
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
-	}
-	if cfg.LatencyWindow <= 0 {
-		cfg.LatencyWindow = time.Second
-	}
 	e := &Engine{
 		cfg:      cfg,
 		topo:     cfg.Topo,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		latency:  NewLatencyTracker(cfg.LatencyWindow),
+		latency:  NewLatencyTracker(latencyWindow),
 		lastUtil: make([]float64, cfg.Topo.Sockets),
 	}
 	e.budgetDebt = make([][]float64, cfg.Topo.Sockets)
@@ -264,10 +252,11 @@ func (e *Engine) install(wl workload.Workload) error {
 	e.perSocket, _ = wl.(workload.PerSocketWorkload)
 	e.versioned, _ = wl.(workload.Versioned)
 	e.charEpoch++
-	e.parts = make([]workload.PartitionState, e.cfg.Partitions)
-	e.partHome = make([]int, e.cfg.Partitions)
+	n := e.topo.TotalThreads()
+	e.parts = make([]workload.PartitionState, n)
+	e.partHome = make([]int, n)
 	homes := make([][]int, e.topo.Sockets)
-	for p := 0; p < e.cfg.Partitions; p++ {
+	for p := 0; p < n; p++ {
 		e.parts[p] = wl.NewPartition(p, e.rng)
 		s := p % e.topo.Sockets // round-robin partition placement
 		e.partHome[p] = s
@@ -299,7 +288,7 @@ func (e *Engine) SocketCharacteristics(socket int) perfmodel.Characteristics {
 }
 
 // Partitions returns the partition count.
-func (e *Engine) Partitions() int { return e.cfg.Partitions }
+func (e *Engine) Partitions() int { return len(e.parts) }
 
 // Latency returns the engine's latency tracker.
 func (e *Engine) Latency() *LatencyTracker { return e.latency }
@@ -484,7 +473,7 @@ func (e *Engine) OfferLoad(qps units.Hertz, dt time.Duration, now time.Duration)
 
 // SubmitQuery generates and routes one query.
 func (e *Engine) SubmitQuery(now time.Duration) error {
-	e.opScratch = e.wl.AppendQuery(e.opScratch[:0], e.rng, e.cfg.Partitions)
+	e.opScratch = e.wl.AppendQuery(e.opScratch[:0], e.rng, len(e.parts))
 	ops := e.opScratch
 	if len(ops) == 0 {
 		//ecllint:allow hotpath error path, never taken by a well-formed workload
@@ -804,7 +793,7 @@ func (e *Engine) Step(now, dt time.Duration, active [][]bool, budget [][]float64
 	}
 
 	// Workers drain partition queues within their budgets. Each
-	// ownership processes at most BatchSize messages, so partitions are
+	// ownership processes at most batchSize messages, so partitions are
 	// served fairly; a worker may overshoot its budget by at most one
 	// message.
 	for s := 0; s < nSock; s++ {
@@ -832,7 +821,7 @@ func (e *Engine) Step(now, dt time.Duration, active [][]bool, budget [][]float64
 				if !ok {
 					continue
 				}
-				for n := 0; n < e.cfg.BatchSize && remainingBudget[lt] > 0; n++ {
+				for n := 0; n < batchSize && remainingBudget[lt] > 0; n++ {
 					m, err := hub.DequeueOne(token, part)
 					if err != nil {
 						panic(err)

@@ -50,9 +50,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Topo: smallTopo}); err == nil {
 		t.Error("missing workload should fail")
 	}
-	if _, err := New(Config{Topo: smallTopo, Workload: workload.NewKV(true), Partitions: -1}); err == nil {
-		t.Error("negative partitions should fail")
-	}
 	if _, err := New(Config{Topo: hw.Topology{}, Workload: workload.NewKV(true)}); err == nil {
 		t.Error("invalid topology should fail")
 	}

@@ -21,17 +21,17 @@ type Options struct {
 	LatencyLimit time.Duration
 	// Maintenance selects the profile maintenance strategy.
 	Maintenance MaintenanceMode
-	// Generator parameterizes the configuration generator.
-	Generator energy.GeneratorParams
 	// DisableRTI turns off race-to-idle (ablation).
 	DisableRTI bool
-	// MeasureWindow overrides the RAPL measurement window (0 = the
-	// meta-calibrated 100 ms).
-	MeasureWindow time.Duration
 	// PowerCapW, when positive, caps each socket's package+DRAM power
-	// (the machine-level budget is the cap times the socket count). The
-	// cap is a hard constraint enforced through the energy profile; see
-	// SocketParams.PowerCapW.
+	// (the machine-level budget is the cap times the socket count): a
+	// socket loop only applies profile configurations whose measured
+	// power stays at or below the cap, even when that violates the
+	// latency limit (the cap is a hard constraint, like a RAPL power
+	// limit, but enforced through the energy profile instead of hardware
+	// clamping — the loop keeps its configuration ranking instead of
+	// being throttled blindly). Enforcement needs evaluated entries;
+	// until the first measurements arrive the loop cannot honor the cap.
 	PowerCapW units.Watt
 	// DesyncRTI staggers the socket-level loops' tick phases instead of
 	// ticking them together (ablation). With aligned phases the sockets'
@@ -43,14 +43,21 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's standard setting: 1 Hz loops, 100 ms
-// latency limit, multiplexed maintenance, fcore=4/funcore=3/cmax=256.
+// latency limit, multiplexed maintenance.
 func DefaultOptions() Options {
-	return Options{
-		Interval:     time.Second,
-		LatencyLimit: 100 * time.Millisecond,
-		Maintenance:  MaintainMultiplexed,
-		Generator:    energy.DefaultGeneratorParams(),
+	return Options{Maintenance: MaintainMultiplexed}.withDefaults()
+}
+
+// withDefaults fills a zero interval and latency limit with the paper's
+// 1 s and 100 ms.
+func (o Options) withDefaults() Options {
+	if o.Interval <= 0 {
+		o.Interval = time.Second
 	}
+	if o.LatencyLimit <= 0 {
+		o.LatencyLimit = 100 * time.Millisecond
+	}
+	return o
 }
 
 // Controller wires the hierarchy: one socket-level ECL per processor plus
@@ -72,20 +79,14 @@ type Controller struct {
 }
 
 // NewController builds the ECL hierarchy. Each socket gets its own energy
-// profile (the paper: workload characteristics can differ per processor).
+// profile (the paper: workload characteristics can differ per processor)
+// over the configurations of the paper's generator setting
+// (fcore=4/funcore=3/cmax=256).
 func NewController(m *hw.Machine, clock *vtime.Clock, lat LatencySource, stats RuntimeStats, opts Options) (*Controller, error) {
 	if m == nil || clock == nil || lat == nil || stats == nil {
 		return nil, fmt.Errorf("ecl: nil dependency")
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = time.Second
-	}
-	if opts.LatencyLimit <= 0 {
-		opts.LatencyLimit = 100 * time.Millisecond
-	}
-	if opts.Generator == (energy.GeneratorParams{}) {
-		opts.Generator = energy.DefaultGeneratorParams()
-	}
+	opts = opts.withDefaults()
 	topo := m.Topology()
 	c := &Controller{
 		machine: m,
@@ -95,20 +96,11 @@ func NewController(m *hw.Machine, clock *vtime.Clock, lat LatencySource, stats R
 		opts:    opts,
 	}
 	for s := 0; s < topo.Sockets; s++ {
-		cfgs, err := energy.Generate(topo, opts.Generator)
+		cfgs, err := energy.Generate(topo, energy.DefaultGeneratorParams())
 		if err != nil {
 			return nil, err
 		}
-		sp := DefaultSocketParams(s)
-		sp.Interval = opts.Interval
-		sp.Maintenance = opts.Maintenance
-		sp.DisableRTI = opts.DisableRTI
-		sp.LatencyLimit = opts.LatencyLimit
-		sp.PowerCapW = opts.PowerCapW
-		if opts.MeasureWindow > 0 {
-			sp.MeasureWindow = opts.MeasureWindow
-		}
-		sock := NewSocketECL(sp, m, clock, energy.NewProfile(topo, cfgs))
+		sock := NewSocketECL(s, opts, m, clock, energy.NewProfile(topo, cfgs))
 		sock.SetRuntimeStats(stats)
 		c.sockets = append(c.sockets, sock)
 	}

@@ -76,9 +76,9 @@ func prewarmedECL(t *testing.T, w *world, mode MaintenanceMode) *SocketECL {
 	if err := energy.EvaluateModel(prof, topo, w.m.Params(), w.ch, 0); err != nil {
 		t.Fatal(err)
 	}
-	sp := DefaultSocketParams(0)
-	sp.Maintenance = mode
-	s := NewSocketECL(sp, w.m, w.clock, prof)
+	opts := DefaultOptions()
+	opts.Maintenance = mode
+	s := NewSocketECL(0, opts, w.m, w.clock, prof)
 	// The profile is fully evaluated: clear the bootstrap queue.
 	s.adaptQueue = nil
 	return s
@@ -327,9 +327,9 @@ func TestSocketECLUnevaluatedProfileRunsAllMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := DefaultSocketParams(0)
-	sp.Maintenance = MaintainNone // no adaptation possible
-	s := NewSocketECL(sp, w.m, w.clock, energy.NewProfile(topo, cfgs))
+	opts := DefaultOptions()
+	opts.Maintenance = MaintainNone // no adaptation possible
+	s := NewSocketECL(0, opts, w.m, w.clock, energy.NewProfile(topo, cfgs))
 	s.Tick(1.0, NoViolation)
 	w.advance(10 * time.Millisecond)
 	req := w.m.Requested(0)
@@ -345,8 +345,7 @@ func TestSocketECLBootstrapsViaMultiplexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := DefaultSocketParams(0)
-	s := NewSocketECL(sp, w.m, w.clock, energy.NewProfile(topo, cfgs))
+	s := NewSocketECL(0, DefaultOptions(), w.m, w.clock, energy.NewProfile(topo, cfgs))
 	if s.AdaptPending() == 0 {
 		t.Fatal("fresh profile should queue all entries for evaluation")
 	}

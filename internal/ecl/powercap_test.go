@@ -31,7 +31,7 @@ func TestPowerCapBoundsAppliedConfigurations(t *testing.T) {
 	w := newWorld(1.0)
 	s := prewarmedECL(t, w, MaintainNone)
 	cap := medianPower(s)
-	s.p.PowerCapW = cap
+	s.opts.PowerCapW = cap
 	ticks := []struct {
 		util float64
 		ttv  time.Duration
@@ -65,7 +65,7 @@ func TestPowerCapOverridesSafetyValve(t *testing.T) {
 	w := newWorld(1.0)
 	s := prewarmedECL(t, w, MaintainNone)
 	cap := medianPower(s)
-	s.p.PowerCapW = cap
+	s.opts.PowerCapW = cap
 	for i := 0; i < 5; i++ {
 		s.Tick(1.0, 0)
 		w.advance(time.Second)
@@ -93,7 +93,7 @@ func TestPowerCapZeroUnrestricted(t *testing.T) {
 	run := func(capW units.Watt) []string {
 		w := newWorld(1.0)
 		s := prewarmedECL(t, w, MaintainNone)
-		s.p.PowerCapW = capW
+		s.opts.PowerCapW = capW
 		var applied []string
 		for _, u := range []float64{1, 1, 0.7, 0.4, 1, 1, 1} {
 			ttv := NoViolation
@@ -124,7 +124,7 @@ func TestControllerPropagatesPowerCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < c.Sockets(); i++ {
-		if got := c.Socket(i).p.PowerCapW; got != 77 {
+		if got := c.Socket(i).opts.PowerCapW; got != 77 {
 			t.Errorf("socket %d: PowerCapW = %v, want 77", i, got)
 		}
 	}

@@ -43,53 +43,18 @@ func (m MaintenanceMode) String() string {
 	return "unknown"
 }
 
-// SocketParams configures one socket-level ECL.
-type SocketParams struct {
-	// Socket is the processor this loop rules.
-	Socket int
-	// Interval is the base control interval (the paper evaluates 1 Hz
-	// and 2 Hz).
-	Interval time.Duration
-	// Maintenance selects the profile maintenance strategy.
-	Maintenance MaintenanceMode
-	// MeasureWindow is the minimum window for a trustworthy RAPL
-	// measurement (from meta-calibration; the paper finds 100 ms).
-	MeasureWindow time.Duration
-	// AdaptShare bounds the fraction of an interval spent on
-	// multiplexed re-evaluation windows.
-	AdaptShare float64
-	// DriftThreshold is the relative efficiency drift that, sustained
-	// over consecutive online updates, triggers multiplexed
-	// re-adaptation of the whole profile.
-	DriftThreshold float64
-	// DisableRTI forces the loop to never race to idle (ablation).
-	DisableRTI bool
-	// LatencyLimit bounds race-to-idle stretches: idle windows longer
-	// than a fraction of the limit would violate it outright.
-	LatencyLimit time.Duration
-	// PowerCapW, when positive, caps the socket's package+DRAM power: the
-	// loop only applies profile configurations whose measured power stays
-	// at or below the cap, even when that violates the latency limit (the
-	// cap is a hard constraint, like a RAPL power limit, but enforced
-	// through the energy profile instead of hardware clamping — the loop
-	// keeps its configuration ranking instead of being throttled blindly).
-	// Enforcement needs evaluated entries; until the first measurements
-	// arrive the loop cannot honor the cap.
-	PowerCapW units.Watt
-}
-
-// DefaultSocketParams returns the paper-calibrated parameters.
-func DefaultSocketParams(socket int) SocketParams {
-	return SocketParams{
-		Socket:         socket,
-		Interval:       time.Second,
-		Maintenance:    MaintainMultiplexed,
-		MeasureWindow:  100 * time.Millisecond,
-		AdaptShare:     0.4,
-		DriftThreshold: 0.15,
-		LatencyLimit:   100 * time.Millisecond,
-	}
-}
+const (
+	// measureWindow is the minimum window for a trustworthy RAPL
+	// measurement (meta-calibration finds 100 ms, Figure 12).
+	measureWindow = 100 * time.Millisecond
+	// adaptShare bounds the fraction of an interval spent on multiplexed
+	// re-evaluation windows.
+	adaptShare = 0.4
+	// driftThreshold is the relative efficiency drift that, sustained
+	// over consecutive online updates, triggers multiplexed re-adaptation
+	// of the whole profile.
+	driftThreshold = 0.15
+)
 
 // segment is one planned stretch of an interval: a configuration to apply
 // and, optionally, a profile entry to update from the stretch's
@@ -120,7 +85,8 @@ type RuntimeStats interface {
 
 // SocketECL is the per-processor control loop (Section 5.1).
 type SocketECL struct {
-	p       SocketParams
+	socket  int
+	opts    Options
 	machine *hw.Machine
 	clock   *vtime.Clock
 	profile *energy.Profile
@@ -200,25 +166,13 @@ type SocketECL struct {
 // profile may be entirely unevaluated; the loop then starts conservatively
 // at the full configuration and (in multiplexed mode) measures its way to
 // a usable profile. stats may be nil, in which case measurement gating is
-// disabled (useful for synthetic full-load tests).
-func NewSocketECL(p SocketParams, m *hw.Machine, clock *vtime.Clock, profile *energy.Profile) *SocketECL {
-	if p.Interval <= 0 {
-		p.Interval = time.Second
-	}
-	if p.MeasureWindow <= 0 {
-		p.MeasureWindow = 100 * time.Millisecond
-	}
-	if p.AdaptShare <= 0 || p.AdaptShare > 0.8 {
-		p.AdaptShare = 0.4
-	}
-	if p.DriftThreshold <= 0 {
-		p.DriftThreshold = 0.15
-	}
-	if p.LatencyLimit <= 0 {
-		p.LatencyLimit = 100 * time.Millisecond
-	}
+// disabled (useful for synthetic full-load tests). Of opts, the loop
+// reads the interval, latency limit, maintenance mode, race-to-idle
+// switch and power cap; DesyncRTI is the Controller's.
+func NewSocketECL(socket int, opts Options, m *hw.Machine, clock *vtime.Clock, profile *energy.Profile) *SocketECL {
 	s := &SocketECL{
-		p:             p,
+		socket:        socket,
+		opts:          opts.withDefaults(),
 		machine:       m,
 		clock:         clock,
 		profile:       profile,
@@ -239,7 +193,7 @@ func (s *SocketECL) SetRuntimeStats(rs RuntimeStats) { s.stats = rs }
 func (s *SocketECL) SetObserver(ob *obs.Observer) {
 	s.obsLog = ob.EventLog()
 	reg := ob.Reg()
-	sock := strconv.Itoa(s.p.Socket)
+	sock := strconv.Itoa(s.socket)
 	s.obsTicks = reg.Counter(`ecl_ticks_total{socket="` + sock + `"}`)
 	s.obsSafety = reg.Counter(`ecl_safety_valve_total{socket="` + sock + `"}`)
 	s.obsRTI = reg.Counter(`ecl_rti_intervals_total{socket="` + sock + `"}`)
@@ -271,7 +225,7 @@ func (s *SocketECL) noteMode(mode string) {
 		s.obsLog.Emit(obs.Event{
 			At:     units.Virtual(s.clock.Now()),
 			Type:   obs.EvZoneTransition,
-			Socket: s.p.Socket,
+			Socket: s.socket,
 			A:      s.demand.PerSecond(),
 			S:      mode,
 		})
@@ -336,7 +290,7 @@ func (s *SocketECL) Tick(util float64, ttv time.Duration) {
 	s.cancelPending()
 
 	if s.stats != nil {
-		busy, active := s.stats.BusySeconds(s.p.Socket)
+		busy, active := s.stats.BusySeconds(s.socket)
 		dBusy, dActive := busy-s.tickBusy, active-s.tickActive
 		s.tickBusy, s.tickActive = busy, active
 		if dActive > 0 {
@@ -359,7 +313,7 @@ func (s *SocketECL) Tick(util float64, ttv time.Duration) {
 	s.obsLog.Emit(obs.Event{
 		At:     units.Virtual(now),
 		Type:   obs.EvDemandUpdate,
-		Socket: s.p.Socket,
+		Socket: s.socket,
 		A:      s.demand.PerSecond(),
 		B:      util,
 		C:      ttvSeconds(ttv),
@@ -396,9 +350,9 @@ func (s *SocketECL) updateDemand(util float64, ttv time.Duration) {
 		case ttv == 0:
 			// Limit already violated: jump to the top.
 			s.demand = maxScore * 1.25
-		case ttv < 3*s.p.Interval:
+		case ttv < 3*s.opts.Interval:
 			s.demand = base * 4
-		case ttv < 10*s.p.Interval:
+		case ttv < 10*s.opts.Interval:
 			s.demand = base * 2.2
 		default:
 			s.demand = base * 1.6
@@ -431,7 +385,7 @@ const provisionHeadroom = 1.1
 // then either steady operation in the chosen configuration or race-to-idle
 // switching against the optimal-zone configuration.
 func (s *SocketECL) plan(ttv time.Duration) []segment {
-	interval := s.p.Interval
+	interval := s.opts.Interval
 	var plan []segment
 
 	// Safety valve: under a sustained latency violation at full
@@ -441,10 +395,10 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 	if s.violTicks >= 3 && s.lastUtil >= 0.98 {
 		all := hw.AllMax(s.machine.Topology())
 		cfg, capacity := all, s.profile.MaxScore()
-		if s.p.PowerCapW > 0 {
+		if s.opts.PowerCapW > 0 {
 			// Under a power cap the ramp-up stops at the fastest
 			// configuration that fits: the cap outranks the latency limit.
-			if e := s.profile.ForPerformanceCapped(capacity*2, s.p.PowerCapW); e != nil {
+			if e := s.profile.ForPerformanceCapped(capacity*2, s.opts.PowerCapW); e != nil {
 				cfg, capacity = e.Config, e.Score
 			}
 		}
@@ -456,14 +410,14 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 			s.obsLog.Emit(obs.Event{
 				At:     units.Virtual(s.clock.Now()),
 				Type:   obs.EvSafetyValve,
-				Socket: s.p.Socket,
+				Socket: s.socket,
 				A:      float64(s.violTicks),
 				S:      cfg.Key(s.machine.Topology().ThreadsPerCore),
 			})
 		}
 		s.noteMode("safety")
 		var meas *energy.Entry
-		if s.p.Maintenance != MaintainNone {
+		if s.opts.Maintenance != MaintainNone {
 			meas = s.profile.Lookup(cfg)
 		}
 		return []segment{{cfg: cfg, measure: meas, dur: interval}}
@@ -476,18 +430,18 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 	// and throttles with shrinking utilization headroom: stolen windows
 	// cannot be compensated when the system is already nearly full.
 	s.adaptBusy = false
-	if s.p.Maintenance == MaintainMultiplexed && len(s.adaptQueue) > 0 && ttv > 2*interval {
-		share := s.p.AdaptShare
+	if s.opts.Maintenance == MaintainMultiplexed && len(s.adaptQueue) > 0 && ttv > 2*interval {
+		share := adaptShare
 		if headroom := (1 - s.lastUtil) * 0.8; headroom < share {
 			share = headroom
 		}
 		budget := time.Duration(float64(interval) * share)
-		slot := 3 * s.p.MeasureWindow // 2x idle accumulation + window
+		slot := 3 * measureWindow // 2x idle accumulation + window
 		for budget >= slot && len(s.adaptQueue) > 0 {
 			e := s.popMostRelevant()
 			plan = append(plan,
-				segment{cfg: s.idleCfg, span: qtrace.CtlRTISleep, dur: 2 * s.p.MeasureWindow},
-				segment{cfg: e.Config, measure: e, adapt: true, span: qtrace.CtlDiscovery, dur: s.p.MeasureWindow})
+				segment{cfg: s.idleCfg, span: qtrace.CtlRTISleep, dur: 2 * measureWindow},
+				segment{cfg: e.Config, measure: e, adapt: true, span: qtrace.CtlDiscovery, dur: measureWindow})
 			budget -= slot
 			s.adaptBusy = true
 		}
@@ -505,7 +459,7 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 	if remaining > 0 && remaining < interval {
 		target = target.Scale(float64(interval) / float64(remaining))
 	}
-	entry := s.profile.ForPerformanceCapped(target, s.p.PowerCapW)
+	entry := s.profile.ForPerformanceCapped(target, s.opts.PowerCapW)
 	if entry == nil {
 		// Nothing evaluated yet: run everything at full throttle until
 		// the profile has substance.
@@ -515,12 +469,12 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 		s.noteMode("bootstrap")
 		return plan
 	}
-	opt := s.profile.MostEfficientCapped(s.p.PowerCapW)
+	opt := s.profile.MostEfficientCapped(s.opts.PowerCapW)
 
 	// Race-to-idle in the under-utilization zone (Section 4.3): switch
 	// between the optimal configuration and idle. Disabled under latency
 	// pressure, since long idle stretches hurt response times.
-	useRTI := !s.p.DisableRTI && opt != nil && target < opt.Score && ttv > 2*s.p.Interval
+	useRTI := !s.opts.DisableRTI && opt != nil && target < opt.Score && ttv > 2*s.opts.Interval
 	if useRTI {
 		duty := target.Div(opt.Score)
 		cycleLen := s.rtiCycleLen(remaining, ttv)
@@ -548,15 +502,15 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 				// otherwise aggregated over the interval.
 				var meas *energy.Entry
 				agg := false
-				if s.p.Maintenance != MaintainNone {
+				if s.opts.Maintenance != MaintainNone {
 					meas = opt
-					agg = runSlice < s.p.MeasureWindow
+					agg = runSlice < measureWindow
 				}
 				plan = append(plan, segment{cfg: opt.Config, measure: meas, aggregate: agg, dur: runSlice})
 			}
 			if idleSlice := cl - runSlice; idleSlice > 0 {
 				var meas *energy.Entry
-				if s.p.Maintenance != MaintainNone && idleSlice >= s.p.MeasureWindow {
+				if s.opts.Maintenance != MaintainNone && idleSlice >= measureWindow {
 					meas = s.profile.Idle()
 				}
 				plan = append(plan, segment{cfg: s.idleCfg, measure: meas, span: qtrace.CtlRTISleep, dur: idleSlice})
@@ -570,7 +524,7 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 		s.obsLog.Emit(obs.Event{
 			At:     units.Virtual(s.clock.Now()),
 			Type:   obs.EvRTICycle,
-			Socket: s.p.Socket,
+			Socket: s.socket,
 			A:      duty,
 			B:      float64(cycles),
 			C:      cycleLen.Seconds(),
@@ -582,7 +536,7 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 	// Steady operation in the chosen configuration; the whole stretch is
 	// an online measurement.
 	var meas *energy.Entry
-	if s.p.Maintenance != MaintainNone && remaining >= s.p.MeasureWindow {
+	if s.opts.Maintenance != MaintainNone && remaining >= measureWindow {
 		meas = entry
 	}
 	plan = append(plan, segment{cfg: entry.Config, measure: meas, dur: remaining})
@@ -617,7 +571,7 @@ func (s *SocketECL) rtiCycleLen(remaining, ttv time.Duration) time.Duration {
 	// An idle stretch directly adds to query latency, so the cycle must
 	// stay well below the latency limit regardless of headroom.
 	max := remaining / 4
-	if lim := s.p.LatencyLimit / 3; max > lim {
+	if lim := s.opts.LatencyLimit / 3; max > lim {
 		max = lim
 	}
 	if max < min {
@@ -650,9 +604,9 @@ func (s *SocketECL) execute(now time.Duration, plan []segment) {
 			// superseding tick clips them via cancelPending.
 			switch seg.span {
 			case qtrace.CtlDiscovery:
-				s.eattr.AddWindow(s.p.Socket, energyattr.KindDiscovery, t, t+seg.dur)
+				s.eattr.AddWindow(s.socket, energyattr.KindDiscovery, t, t+seg.dur)
 			case qtrace.CtlRTISleep:
-				s.eattr.AddWindow(s.p.Socket, energyattr.KindRTISleep, t, t+seg.dur)
+				s.eattr.AddWindow(s.socket, energyattr.KindRTISleep, t, t+seg.dur)
 			}
 		}
 		if i == 0 {
@@ -670,7 +624,7 @@ func (s *SocketECL) execute(now time.Duration, plan []segment) {
 
 // beginSegment applies a segment's configuration and snapshots counters.
 func (s *SocketECL) beginSegment(now time.Duration, seg segment) {
-	if err := s.machine.Apply(s.p.Socket, seg.cfg); err != nil {
+	if err := s.machine.Apply(s.socket, seg.cfg); err != nil {
 		panic(err) // profile configurations are validated at generation
 	}
 	s.segStart = now
@@ -678,11 +632,11 @@ func (s *SocketECL) beginSegment(now time.Duration, seg segment) {
 	s.segAdapt = seg.adapt
 	s.segAggregate = seg.aggregate
 	s.segSpan = seg.span
-	s.segPkgJ = s.machine.ReadEnergy(s.p.Socket, hw.DomainPackage)
-	s.segDramJ = s.machine.ReadEnergy(s.p.Socket, hw.DomainDRAM)
-	s.segInstr = s.machine.SocketInstructions(s.p.Socket)
+	s.segPkgJ = s.machine.ReadEnergy(s.socket, hw.DomainPackage)
+	s.segDramJ = s.machine.ReadEnergy(s.socket, hw.DomainDRAM)
+	s.segInstr = s.machine.SocketInstructions(s.socket)
 	if s.stats != nil {
-		s.segBusy, s.segActive = s.stats.BusySeconds(s.p.Socket)
+		s.segBusy, s.segActive = s.stats.BusySeconds(s.socket)
 	}
 }
 
@@ -697,7 +651,7 @@ func (s *SocketECL) finishSegment(now time.Duration) {
 	if s.tracer != nil && s.segSpan != qtrace.CtlNone && now > s.segStart {
 		s.tracer.AddCtl(qtrace.CtlSpan{
 			Kind:   s.segSpan,
-			Socket: s.p.Socket,
+			Socket: s.socket,
 			Start:  s.segStart,
 			End:    now,
 		})
@@ -709,19 +663,19 @@ func (s *SocketECL) finishSegment(now time.Duration) {
 	s.segEntry = nil
 	s.segAdapt = false
 	s.segAggregate = false
-	if entry == nil || s.p.Maintenance == MaintainNone {
+	if entry == nil || s.opts.Maintenance == MaintainNone {
 		return
 	}
 	dt := (now - s.segStart).Seconds()
 	if dt <= 0 {
 		return
 	}
-	dE := (s.machine.ReadEnergy(s.p.Socket, hw.DomainPackage) - s.segPkgJ) +
-		(s.machine.ReadEnergy(s.p.Socket, hw.DomainDRAM) - s.segDramJ)
-	dI := s.machine.SocketInstructions(s.p.Socket) - s.segInstr
+	dE := (s.machine.ReadEnergy(s.socket, hw.DomainPackage) - s.segPkgJ) +
+		(s.machine.ReadEnergy(s.socket, hw.DomainDRAM) - s.segDramJ)
+	dI := s.machine.SocketInstructions(s.socket) - s.segInstr
 	var dBusy, dActive float64
 	if s.stats != nil {
-		busy, active := s.stats.BusySeconds(s.p.Socket)
+		busy, active := s.stats.BusySeconds(s.socket)
 		dBusy, dActive = busy-s.segBusy, active-s.segActive
 	}
 	if aggregate {
@@ -760,7 +714,7 @@ func (s *SocketECL) flushAggregate(now time.Duration) {
 	busy, active := s.aggBusy, s.aggActive
 	s.aggEntry = nil
 	s.aggE, s.aggI, s.aggSec, s.aggBusy, s.aggActive = 0, 0, 0, 0, 0
-	if entry == nil || sec < s.p.MeasureWindow.Seconds() {
+	if entry == nil || sec < measureWindow.Seconds() {
 		return
 	}
 	if s.stats != nil && (active <= 0 || busy/active < 0.85) {
@@ -792,17 +746,17 @@ func (s *SocketECL) record(entry *energy.Entry, dE units.Joule, dI, sec float64,
 		s.obsLog.Emit(obs.Event{
 			At:     units.Virtual(now),
 			Type:   obs.EvProfileMeasure,
-			Socket: s.p.Socket,
+			Socket: s.socket,
 			A:      power.Watts(),
 			B:      score.PerSecond(),
 			C:      drift,
 			S:      entry.Config.Key(s.machine.Topology().ThreadsPerCore),
 		})
 	}
-	if s.p.Maintenance == MaintainNone {
+	if s.opts.Maintenance == MaintainNone {
 		return
 	}
-	if drift > s.p.DriftThreshold {
+	if drift > driftThreshold {
 		s.driftHits++
 		if wasEvaluated && oldScore > 0 && oldPower > 0 {
 			s.driftScore = append(s.driftScore, score.Div(oldScore))
@@ -817,20 +771,20 @@ func (s *SocketECL) record(entry *energy.Entry, dE units.Joule, dI, sec float64,
 	// Confirmed workload change: rescale entries not measured recently,
 	// then (multiplexed only) re-measure everything.
 	if rs, rp := avgRatio(s.driftScore), avgRatio(s.driftPower); rs > 0 {
-		s.profile.RescaleStale(now, 2*s.p.Interval, rs, rp)
+		s.profile.RescaleStale(now, 2*s.opts.Interval, rs, rp)
 		s.obsRescales.Inc()
 		s.obsLog.Emit(obs.Event{
 			At:     units.Virtual(now),
 			Type:   obs.EvDriftRescale,
-			Socket: s.p.Socket,
+			Socket: s.socket,
 			A:      rs,
 			B:      rp,
 		})
 	}
 	s.driftScore, s.driftPower = nil, nil
 	s.driftHits = 0
-	if s.p.Maintenance == MaintainMultiplexed && len(s.adaptQueue) == 0 {
-		s.adaptQueue = s.profile.Stale(now, 2*s.p.Interval)
+	if s.opts.Maintenance == MaintainMultiplexed && len(s.adaptQueue) == 0 {
+		s.adaptQueue = s.profile.Stale(now, 2*s.opts.Interval)
 	}
 }
 
@@ -879,8 +833,8 @@ func (s *SocketECL) cancelPending() {
 		// Clip the superseded plan's control windows at the replan point:
 		// energy past now belongs to whatever the new plan schedules.
 		now := s.clock.Now()
-		s.eattr.CancelFrom(s.p.Socket, energyattr.KindDiscovery, now)
-		s.eattr.CancelFrom(s.p.Socket, energyattr.KindRTISleep, now)
+		s.eattr.CancelFrom(s.socket, energyattr.KindDiscovery, now)
+		s.eattr.CancelFrom(s.socket, energyattr.KindRTISleep, now)
 	}
 }
 

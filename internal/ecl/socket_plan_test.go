@@ -33,8 +33,8 @@ func TestPlanCoversInterval(t *testing.T) {
 		w.advance(100 * time.Millisecond)
 		s.updateDemand(c.util, c.ttv)
 		plan := s.plan(c.ttv)
-		if got := planDuration(plan); got != s.p.Interval {
-			t.Errorf("util=%v ttv=%v: plan covers %v, want %v", c.util, c.ttv, got, s.p.Interval)
+		if got := planDuration(plan); got != s.opts.Interval {
+			t.Errorf("util=%v ttv=%v: plan covers %v, want %v", c.util, c.ttv, got, s.opts.Interval)
 		}
 		for _, seg := range plan {
 			if seg.dur <= 0 {
@@ -68,8 +68,8 @@ func TestRTIBounds(t *testing.T) {
 			t.Errorf("util %v: cycles %d", util, cycles)
 		}
 		// Idle stretch bound: cycle length <= limit/3.
-		cycleLen := s.p.Interval / time.Duration(cycles)
-		if cycleLen > s.p.LatencyLimit/3+s.p.Interval/50 {
+		cycleLen := s.opts.Interval / time.Duration(cycles)
+		if cycleLen > s.opts.LatencyLimit/3+s.opts.Interval/50 {
 			t.Errorf("util %v: cycle %v exceeds latency-limit bound", util, cycleLen)
 		}
 	}

@@ -1,11 +1,9 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file builds the conservative static call graph the hotpath
@@ -21,12 +19,10 @@ import (
 // that site, for dispatch boundaries that are genuinely off the
 // steady-state path.
 
-// funcKey canonicalizes a *types.Func into a graph key. Object identity
-// does not survive package boundaries — a function type-checked from
-// source in its own unit and the same function seen through export data
-// from an importing unit are distinct objects — so nodes and edges key
-// on the fully qualified name instead.
-func funcKey(fn *types.Func) any { return "func " + fn.FullName() }
+// funcKey is a declared function's graph key: the *types.Func recorded
+// in Info.Defs, which every unit of one Load shares. Origin maps a method
+// of an instantiated generic type back to its declaration.
+func funcKey(fn *types.Func) any { return fn.Origin() }
 
 // A graphNode is one function in the call graph: a declared function or
 // method, or a function literal. Literals are nodes of their own — a
@@ -69,9 +65,8 @@ type callGraph struct {
 type cgIndex struct {
 	// valueTaken holds declared functions whose value escapes somewhere
 	// (assigned, passed, returned, or bound as a method value): the
-	// candidates of calls through function values. Keyed by funcKey,
-	// holding one representative object for signature matching.
-	valueTaken map[any]*types.Func
+	// candidates of calls through function values.
+	valueTaken map[*types.Func]bool
 	// lits holds every function literal with its signature.
 	lits []litCandidate
 	// namedTypes holds every in-module defined type, for interface
@@ -89,7 +84,7 @@ type litCandidate struct {
 // harnesses that probe them may allocate freely.
 func buildCallGraph(units []*Unit) *callGraph {
 	g := &callGraph{nodes: map[any]*graphNode{}}
-	idx := &cgIndex{valueTaken: map[any]*types.Func{}}
+	idx := &cgIndex{valueTaken: map[*types.Func]bool{}}
 
 	// Pass 1: index declarations, literals, the value-taken pool, and
 	// named types.
@@ -205,7 +200,7 @@ func collectValueTaken(u *Unit, file *ast.File, idx *cgIndex) {
 			return true
 		}
 		if fn, ok := u.Info.Uses[id].(*types.Func); ok {
-			idx.valueTaken[funcKey(fn)] = fn
+			idx.valueTaken[fn] = true
 		}
 		return true
 	})
@@ -266,20 +261,21 @@ func resolveCall(u *Unit, call *ast.CallExpr, idx *cgIndex) []callEdge {
 
 // dynamicEdge over-approximates a call through a value of function type:
 // every value-taken declared function and every function literal with an
-// identical signature is a candidate target.
+// identical signature is a candidate target. types.Identical ignores
+// receivers, so a bound method value matches like a plain function.
 func dynamicEdge(call *ast.CallExpr, typ types.Type, idx *cgIndex, desc string) []callEdge {
 	sig, ok := typ.Underlying().(*types.Signature)
 	if !ok {
 		return nil
 	}
 	e := callEdge{pos: call.Pos(), dynamic: desc}
-	for key, fn := range idx.valueTaken {
-		if fsig, ok := fn.Type().(*types.Signature); ok && sameSignature(fsig, sig) {
-			e.callees = append(e.callees, key)
+	for fn := range idx.valueTaken {
+		if types.Identical(fn.Type(), sig) {
+			e.callees = append(e.callees, funcKey(fn))
 		}
 	}
 	for _, lc := range idx.lits {
-		if sameSignature(lc.sig, sig) {
+		if types.Identical(lc.sig, sig) {
 			e.callees = append(e.callees, lc.lit)
 		}
 	}
@@ -289,14 +285,6 @@ func dynamicEdge(call *ast.CallExpr, typ types.Type, idx *cgIndex, desc string) 
 // interfaceEdge over-approximates a call through an interface method:
 // every in-module named type implementing the interface contributes its
 // method of that name.
-//
-// Implementation is decided by method names and sigKey strings, not by
-// types.Implements. The loader type-checks each unit from source and
-// reads its imports from export data, so an interface seen from the
-// calling unit and a type declared in another unit do not share
-// *types.Named objects: a method like AppendQuery(dst []workload.Op, ...)
-// would never be identical to its implementation, and the edge would
-// silently reach nothing.
 func interfaceEdge(call *ast.CallExpr, recv types.Type, m *types.Func, idx *cgIndex) []callEdge {
 	iface, ok := recv.Underlying().(*types.Interface)
 	if !ok {
@@ -304,161 +292,19 @@ func interfaceEdge(call *ast.CallExpr, recv types.Type, m *types.Func, idx *cgIn
 	}
 	e := callEdge{pos: call.Pos(), dynamic: "interface method " + m.Name()}
 	for _, named := range idx.namedTypes {
-		if types.IsInterface(named) {
+		if types.IsInterface(named) || named.TypeParams() != nil {
 			continue
 		}
 		// The pointer's method set holds the value-receiver methods too.
-		ms := types.NewMethodSet(types.NewPointer(named))
-		if fn := implements(ms, iface, m); fn != nil {
-			e.callees = append(e.callees, funcKey(fn))
+		ptr := types.NewPointer(named)
+		if !types.Implements(ptr, iface) {
+			continue
+		}
+		if sel := types.NewMethodSet(ptr).Lookup(m.Pkg(), m.Name()); sel != nil {
+			e.callees = append(e.callees, funcKey(sel.Obj().(*types.Func)))
 		}
 	}
 	return []callEdge{e}
-}
-
-// implements reports whether the method set ms has every method of iface,
-// matched by name (and package path, for unexported names) and by sigKey,
-// and returns ms's method matching m; nil if ms does not implement iface.
-func implements(ms *types.MethodSet, iface *types.Interface, m *types.Func) *types.Func {
-	var target *types.Func
-	for i := 0; i < iface.NumMethods(); i++ {
-		want := iface.Method(i)
-		var got *types.Func
-		for j := 0; j < ms.Len(); j++ {
-			if fn, ok := ms.At(j).Obj().(*types.Func); ok && sameMethodName(fn, want) {
-				got = fn
-				break
-			}
-		}
-		if got == nil || sigKey(got.Type().(*types.Signature)) != sigKey(want.Type().(*types.Signature)) {
-			return nil
-		}
-		if sameMethodName(got, m) {
-			target = got
-		}
-	}
-	return target
-}
-
-// sameMethodName reports whether two methods have the same name in the
-// sense of method-set lookup: an unexported name also needs the same
-// package, compared by path because the two may come from different
-// units.
-func sameMethodName(a, b *types.Func) bool {
-	if a.Name() != b.Name() {
-		return false
-	}
-	return a.Exported() || a.Pkg() != nil && b.Pkg() != nil && a.Pkg().Path() == b.Pkg().Path()
-}
-
-// sameSignature reports whether two signatures are interchangeable as
-// function values: identical parameter and result types, receivers
-// ignored (a method value's receiver is already bound). It compares
-// sigKey strings for the same reason interfaceEdge does: a function
-// declared in one unit and a func-typed field read in another see
-// different objects for every named type in the signature.
-func sameSignature(a, b *types.Signature) bool { return sigKey(a) == sigKey(b) }
-
-// sigKey renders a signature without its receiver and parameter names,
-// with every named type qualified by its package path, so two units'
-// views of one signature render the same string.
-func sigKey(s *types.Signature) string {
-	var b strings.Builder
-	writeType(&b, s)
-	return b.String()
-}
-
-// writeType writes the canonical form of t: like types.TypeString with
-// full package paths, but with aliases resolved, parameter names dropped
-// and every empty interface written as "interface{}" (go/types prints the
-// universe's any as "any", a literal interface{} as "interface{}").
-func writeType(b *strings.Builder, t types.Type) {
-	switch t := types.Unalias(t).(type) {
-	case *types.Basic:
-		b.WriteString(types.Typ[t.Kind()].Name())
-	case *types.Pointer:
-		b.WriteByte('*')
-		writeType(b, t.Elem())
-	case *types.Slice:
-		b.WriteString("[]")
-		writeType(b, t.Elem())
-	case *types.Array:
-		fmt.Fprintf(b, "[%d]", t.Len())
-		writeType(b, t.Elem())
-	case *types.Map:
-		b.WriteString("map[")
-		writeType(b, t.Key())
-		b.WriteByte(']')
-		writeType(b, t.Elem())
-	case *types.Chan:
-		switch t.Dir() {
-		case types.SendRecv:
-			b.WriteString("chan ")
-		case types.SendOnly:
-			b.WriteString("chan<- ")
-		case types.RecvOnly:
-			b.WriteString("<-chan ")
-		}
-		writeType(b, t.Elem())
-	case *types.Named:
-		if pkg := t.Obj().Pkg(); pkg != nil {
-			b.WriteString(pkg.Path() + ".")
-		}
-		b.WriteString(t.Obj().Name())
-		if args := t.TypeArgs(); args != nil {
-			b.WriteByte('[')
-			for i := 0; i < args.Len(); i++ {
-				if i > 0 {
-					b.WriteByte(',')
-				}
-				writeType(b, args.At(i))
-			}
-			b.WriteByte(']')
-		}
-	case *types.Signature:
-		b.WriteString("func")
-		writeTuple(b, t.Params(), t.Variadic())
-		writeTuple(b, t.Results(), false)
-	case *types.Interface:
-		b.WriteString("interface{")
-		for i := 0; i < t.NumMethods(); i++ {
-			if i > 0 {
-				b.WriteByte(';')
-			}
-			b.WriteString(t.Method(i).Name())
-			writeType(b, t.Method(i).Type())
-		}
-		b.WriteByte('}')
-	case *types.Struct:
-		b.WriteString("struct{")
-		for i := 0; i < t.NumFields(); i++ {
-			if i > 0 {
-				b.WriteByte(';')
-			}
-			b.WriteString(t.Field(i).Name() + " ")
-			writeType(b, t.Field(i).Type())
-		}
-		b.WriteByte('}')
-	default: // type parameters and anything newer
-		b.WriteString(t.String())
-	}
-}
-
-// writeTuple writes a parenthesized, unnamed type list.
-func writeTuple(b *strings.Builder, t *types.Tuple, variadic bool) {
-	b.WriteByte('(')
-	for i := 0; i < t.Len(); i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if variadic && i == t.Len()-1 {
-			b.WriteString("...")
-			writeType(b, t.At(i).Type().(*types.Slice).Elem())
-			continue
-		}
-		writeType(b, t.At(i).Type())
-	}
-	b.WriteByte(')')
 }
 
 // funcName renders a *types.Func for diagnostics: "(*Hub).DequeueOne",

@@ -110,12 +110,11 @@ func TestCallGraphEdgesAreDynamic(t *testing.T) {
 	}
 }
 
-// TestCallGraphCrossPackage guards the funcKey canonicalization: a
-// static call from one package into another must land on the callee's
-// node even though the two units see different *types.Func objects for
-// it. internal/lint itself calling into another internal package is the
-// probe — cmd/ecllint's main calling lint.Load/lint.Run spans exactly
-// such a boundary.
+// TestCallGraphCrossPackage: a static call from one package into another
+// must land on the callee's node, which holds only because the calling
+// unit resolves the callee to the very *types.Func the declaring unit
+// recorded (TestLoaderSharesOneUniverse). cmd/ecllint's main calling
+// lint.Load spans exactly such a boundary.
 func TestCallGraphCrossPackage(t *testing.T) {
 	var units []*Unit
 	for _, u := range loadRepo(t) {

@@ -122,8 +122,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // A SuitePass carries a whole-program analyzer's execution over every
-// loaded unit. Positions are unit-relative (each Unit owns a FileSet),
-// so reporting and directive lookup take the unit alongside the pos.
+// loaded unit. Reporting and directive lookup take the unit the pos
+// belongs to alongside the pos.
 type SuitePass struct {
 	Analyzer *Analyzer
 	Units    []*Unit

@@ -25,7 +25,8 @@ type File struct {
 
 // A Unit is one type-checked package: the library files plus in-package
 // test files type-checked together (exactly the package the test binary
-// compiles), or an external _test package on its own.
+// compiles), or an external _test package on its own. All units of one
+// Load share a FileSet and a type universe.
 type Unit struct {
 	// Path is the import path ("ecldb/internal/dodb"; an external test
 	// package keeps its declared suffix: "ecldb_test").
@@ -41,7 +42,6 @@ type Unit struct {
 type listPackage struct {
 	ImportPath   string
 	Dir          string
-	Name         string
 	Export       string
 	ForTest      string
 	DepOnly      bool
@@ -51,15 +51,36 @@ type listPackage struct {
 	XTestGoFiles []string
 }
 
+// universe is the one importer every package is checked with: an
+// in-module path resolves to the *types.Package already checked from
+// source, anything else to standard-library export data read by a single
+// gc importer. Every unit therefore sees one object per declared type,
+// function and package, so types.Identical and types.Implements hold
+// across package boundaries.
+type universe struct {
+	checked map[string]*types.Package
+	std     types.Importer
+}
+
+func (u *universe) Import(path string) (*types.Package, error) {
+	if pkg, ok := u.checked[path]; ok {
+		return pkg, nil
+	}
+	return u.std.Import(path)
+}
+
 // Load enumerates the packages matching patterns (relative to dir, the
-// module root), compiles export data for every dependency with
-// `go list -export`, and type-checks each matched package from source
-// with go/types. Test files are included: in-package tests are merged
-// into their package's unit, external _test packages get their own.
+// module root) with `go list -deps -test -export` and type-checks every
+// non-standard package from source, in dependency order, into one type
+// universe. Test files are included the way the compiler sees them:
+// in-package test files are added to their package once every library is
+// checked, and external _test packages are then checked against those
+// augmented packages. A matched package yields a unit of its library plus
+// in-package test files, and its external test package a unit of its own.
 func Load(dir string, patterns []string) ([]*Unit, error) {
 	args := append([]string{
 		"list", "-deps", "-test", "-export",
-		"-json=ImportPath,Dir,Name,Export,ForTest,DepOnly,Standard,GoFiles,TestGoFiles,XTestGoFiles",
+		"-json=ImportPath,Dir,Export,ForTest,DepOnly,Standard,GoFiles,TestGoFiles,XTestGoFiles",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -71,14 +92,11 @@ func Load(dir string, patterns []string) ([]*Unit, error) {
 		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
 
-	// exports maps import path -> export data file. Test variants of a
-	// package ("p [p.test]") are recorded under both the variant key and,
-	// in testExports, under the plain path so an external test unit can
-	// resolve its import of the package-under-test to the variant that
-	// includes in-package test declarations.
+	// exports maps a standard-library import path to its export data.
+	// Test variants ("p [p.test]") and test mains ("p.test") are skipped:
+	// test files are checked into the source packages below.
 	exports := map[string]string{}
-	testExports := map[string]string{}
-	var targets []listPackage
+	var pkgs []listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPackage
@@ -87,97 +105,110 @@ func Load(dir string, patterns []string) ([]*Unit, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("go list: decoding: %v", err)
 		}
-		if p.Export != "" {
+		switch {
+		case p.Standard:
 			exports[p.ImportPath] = p.Export
-			if p.ForTest != "" && p.ImportPath == p.ForTest+" ["+p.ForTest+".test]" {
-				testExports[p.ForTest] = p.Export
-			}
-		}
-		if !p.DepOnly && !p.Standard && p.ForTest == "" && !strings.HasSuffix(p.ImportPath, ".test") {
-			targets = append(targets, p)
+		case p.ForTest == "" && !strings.HasSuffix(p.ImportPath, ".test"):
+			pkgs = append(pkgs, p)
 		}
 	}
 
-	var units []*Unit
-	for _, p := range targets {
-		u, err := buildUnit(p, p.GoFiles, p.TestGoFiles, p.ImportPath, exports, nil)
+	fset := token.NewFileSet()
+	lookup := func(path string) (io.ReadCloser, error) {
+		if f, ok := exports[path]; ok {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("no export data for %q", path)
+	}
+	imp := &universe{checked: map[string]*types.Package{}, std: importer.ForCompiler(fset, "gc", lookup)}
+	conf := types.Config{Importer: imp}
+
+	// Libraries first, in the dependency order go list prints them.
+	// Dependency-only packages are checked from source too, so a fixture
+	// and the packages it imports share the universe.
+	type pending struct {
+		p       listPackage
+		unit    *Unit
+		checker *types.Checker
+	}
+	var targets []pending
+	for _, p := range pkgs {
+		u := &Unit{Path: p.ImportPath, Dir: p.Dir, Fset: fset, Info: newInfo()}
+		files, err := u.parse(p.GoFiles, false)
 		if err != nil {
 			return nil, err
 		}
-		if u != nil {
-			units = append(units, u)
+		u.Pkg = types.NewPackage(p.ImportPath, "")
+		checker := types.NewChecker(&conf, fset, u.Pkg, u.Info)
+		if err := checker.Files(files); err != nil {
+			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
-		if len(p.XTestGoFiles) > 0 {
-			// The external test package imports the package under test;
-			// resolve that import to the in-package-test variant when one
-			// was compiled, since _test files may use test-only symbols.
-			override := map[string]string{}
-			if e, ok := testExports[p.ImportPath]; ok {
-				override[p.ImportPath] = e
-			}
-			xu, err := buildUnit(p, nil, p.XTestGoFiles, p.ImportPath+"_test", exports, override)
-			if err != nil {
-				return nil, err
-			}
-			if xu != nil {
-				units = append(units, xu)
-			}
+		imp.checked[p.ImportPath] = u.Pkg
+		if !p.DepOnly {
+			targets = append(targets, pending{p, u, checker})
 		}
+	}
+
+	// In-package test files join their package's own checker, so every
+	// importer keeps the identical *types.Package.
+	for _, t := range targets {
+		files, err := t.unit.parse(t.p.TestGoFiles, true)
+		if err != nil {
+			return nil, err
+		}
+		if err := t.checker.Files(files); err != nil {
+			return nil, fmt.Errorf("type-checking %s: %v", t.p.ImportPath, err)
+		}
+	}
+
+	// External test packages see the augmented packages, as the compiler
+	// builds them.
+	var units []*Unit
+	for _, t := range targets {
+		if len(t.unit.Files) > 0 {
+			units = append(units, t.unit)
+		}
+		if len(t.p.XTestGoFiles) == 0 {
+			continue
+		}
+		path := t.p.ImportPath + "_test"
+		xu := &Unit{Path: path, Dir: t.p.Dir, Fset: fset, Info: newInfo()}
+		files, err := xu.parse(t.p.XTestGoFiles, true)
+		if err != nil {
+			return nil, err
+		}
+		if xu.Pkg, err = conf.Check(path, fset, files, xu.Info); err != nil {
+			return nil, fmt.Errorf("type-checking %s: %v", path, err)
+		}
+		units = append(units, xu)
 	}
 	return units, nil
 }
 
-// buildUnit parses and type-checks one compilation unit.
-func buildUnit(p listPackage, goFiles, testFiles []string, path string, exports, override map[string]string) (*Unit, error) {
-	if len(goFiles)+len(testFiles) == 0 {
-		return nil, nil
-	}
-	fset := token.NewFileSet()
-	u := &Unit{Path: path, Dir: p.Dir, Fset: fset}
-	parse := func(names []string, test bool) error {
-		for _, name := range names {
-			abs := filepath.Join(p.Dir, name)
-			f, err := parser.ParseFile(fset, abs, nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return fmt.Errorf("parsing %s: %v", abs, err)
-			}
-			u.Files = append(u.Files, &File{AST: f, Name: abs, Test: test})
-		}
-		return nil
-	}
-	if err := parse(goFiles, false); err != nil {
-		return nil, err
-	}
-	if err := parse(testFiles, true); err != nil {
-		return nil, err
-	}
-
-	lookup := func(ipath string) (io.ReadCloser, error) {
-		if f, ok := override[ipath]; ok {
-			return os.Open(f)
-		}
-		if f, ok := exports[ipath]; ok {
-			return os.Open(f)
-		}
-		return nil, fmt.Errorf("no export data for %q", ipath)
-	}
-	u.Info = &types.Info{
+// newInfo returns the type-checker facts every analyzer reads.
+func newInfo() *types.Info {
+	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
+}
+
+// parse parses the named files of u's directory, appends them to u.Files
+// and returns their syntax trees.
+func (u *Unit) parse(names []string, test bool) ([]*ast.File, error) {
 	var files []*ast.File
-	for _, f := range u.Files {
-		files = append(files, f.AST)
+	for _, name := range names {
+		abs := filepath.Join(u.Dir, name)
+		f, err := parser.ParseFile(u.Fset, abs, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("parsing %s: %v", abs, err)
+		}
+		u.Files = append(u.Files, &File{AST: f, Name: abs, Test: test})
+		files = append(files, f)
 	}
-	pkg, err := conf.Check(path, fset, files, u.Info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", path, err)
-	}
-	u.Pkg = pkg
-	return u, nil
+	return files, nil
 }
 
 // pkgName returns the *types.PkgName an identifier resolves to, or nil.

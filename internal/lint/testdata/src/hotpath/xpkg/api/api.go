@@ -1,8 +1,7 @@
 // Package api holds a hot loop that dispatches through an interface and
 // a func-typed field; package impl, which imports it, supplies the
-// targets. The loader type-checks the two as separate units, so each
-// sees the other's types through export data: the call graph must match
-// implementations across that boundary.
+// targets. The two are separate units that share one type universe: the
+// call graph must match implementations across that boundary.
 package api
 
 // Item is the element type both packages' signatures mention.

@@ -99,7 +99,7 @@ func (s *Sim) runEvents(dur time.Duration) error {
 			if hook != nil {
 				hook.OnSample(s.clock.Now())
 			}
-			eq.push(at+s.opts.SampleEvery, evSample)
+			eq.push(at+sampleEvery, evSample)
 		case evAdmission:
 			// Pushed by the stretch planner when it discovers the next
 			// nonzero-load instant; by the time it pops, advanceTo has

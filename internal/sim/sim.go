@@ -47,6 +47,9 @@ func (g Governor) String() string {
 	return "ecl"
 }
 
+// sampleEvery is the trace sampling period.
+const sampleEvery = 500 * time.Millisecond
+
 // Options configures one simulation run.
 type Options struct {
 	// Workload is the benchmark to run.
@@ -75,8 +78,6 @@ type Options struct {
 	NUMARouting bool
 	// Quantum is the simulation step (default 1 ms).
 	Quantum time.Duration
-	// SampleEvery is the trace sampling period (default 500 ms).
-	SampleEvery time.Duration
 	// Seed drives all randomness.
 	Seed int64
 	// Power overrides the machine power calibration (zero value =
@@ -274,9 +275,6 @@ func New(opts Options) (*Sim, error) {
 	}
 	if opts.Quantum <= 0 {
 		opts.Quantum = time.Millisecond
-	}
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = 500 * time.Millisecond
 	}
 	if referenceDefault {
 		opts.Reference = true
@@ -823,7 +821,7 @@ func (s *Sim) runQuanta(dur time.Duration) error {
 		}
 		if t >= nextSample {
 			s.sample(t)
-			nextSample += s.opts.SampleEvery
+			nextSample += sampleEvery
 			if hook != nil {
 				hook.OnSample(s.clock.Now())
 			}

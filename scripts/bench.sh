@@ -2,9 +2,14 @@
 # bench.sh — machine-readable benchmark snapshot. Runs every benchmark
 # in -short mode (the full-simulation figure regenerators skip
 # themselves; the model-based figures and the micro-benchmarks run) and
-# writes BENCH_<date>.json mapping each benchmark to its ns/op,
-# bytes/op, and allocs/op, so successive snapshots can be diffed for
-# performance regressions (scripts/benchdiff.sh).
+# writes BENCH_<UTC yyyy-mm-ddTHHMMSSZ>_<commit>.json mapping each
+# benchmark to its ns/op, bytes/op, and allocs/op, so successive
+# snapshots can be diffed for performance regressions (cmd/benchdiff).
+# The timestamp keeps two runs on one day apart, and the older
+# BENCH_<date>.json names still sort before any same-day timestamped
+# one, so lexical order stays chronological. The snapshot records the
+# host CPU (model name and nproc): benchdiff flags a host change, since
+# ns/op across hosts mostly measures the hosts.
 #
 # The benchtime is a duration, not an iteration count, on purpose: with
 # -benchtime=1x every benchmark reports a single cold iteration, and for
@@ -29,13 +34,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${BENCHTIME:-100ms}"
-date_tag=$(date -u +%Y-%m-%d)
-out="BENCH_${date_tag}.json"
+stamp=$(date -u +%Y-%m-%dT%H%M%SZ)
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 dirty=$(git status --porcelain 2>/dev/null | grep -q . && echo "-dirty" || true)
+out="BENCH_${stamp}_${commit}${dirty}.json"
+model=$(awk -F: '/^model name/ { sub(/^[ \t]+/, "", $2); print $2; exit }' /proc/cpuinfo 2>/dev/null | tr -d '"\\' || true)
+host_cpu="${model:-unknown}, nproc $(nproc 2>/dev/null || echo unknown)"
 
 go test -run=NONE -bench=. -benchtime="$benchtime" -benchmem -short ./... | tee "$raw"
 
@@ -44,7 +51,7 @@ go test -run=NONE -bench=. -benchtime="$benchtime" -benchmem -short ./... | tee 
 # allocs/op columns (the memory columns come from -benchmem; custom
 # ReportMetric columns would shift them, so they are keyed by their unit
 # tokens, not their positions).
-awk -v date="$date_tag" -v goversion="$(go env GOVERSION)" -v benchtime="$benchtime" -v commit="$commit$dirty" '
+awk -v date="$stamp" -v host_cpu="$host_cpu" -v goversion="$(go env GOVERSION)" -v benchtime="$benchtime" -v commit="$commit$dirty" '
 BEGIN { n = 0 }
 $1 ~ /^Benchmark/ && $4 == "ns/op" {
     name = $1
@@ -65,6 +72,7 @@ END {
     printf "  \"date\": \"%s\",\n", date
     printf "  \"go\": \"%s\",\n", goversion
     printf "  \"commit\": \"%s\",\n", commit
+    printf "  \"host_cpu\": \"%s\",\n", host_cpu
     printf "  \"benchtime\": \"%s\",\n", benchtime
     printf "  \"benchmarks\": [\n"
     for (i = 0; i < n; i++) {
