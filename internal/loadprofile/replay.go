@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -21,19 +22,15 @@ type Replay struct {
 }
 
 // NewReplay builds a replay profile from parallel time/qps samples,
-// played back over the given duration. Samples must be ascending in time.
+// played back over the given duration. Samples must start at or after
+// time 0, ascend in time and carry finite, non-negative rates.
 func NewReplay(name string, times []time.Duration, qps []float64, playback time.Duration) (*Replay, error) {
 	if len(times) == 0 || len(times) != len(qps) {
 		return nil, fmt.Errorf("loadprofile: replay needs equal-length, non-empty samples")
 	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			return nil, fmt.Errorf("loadprofile: replay samples not ascending at %d", i)
-		}
-	}
-	for i, q := range qps {
-		if q < 0 {
-			return nil, fmt.Errorf("loadprofile: negative qps at sample %d", i)
+	for i := range times {
+		if err := sampleErr(times, qps, i); err != nil {
+			return nil, fmt.Errorf("loadprofile: replay sample %d: %w", i, err)
 		}
 	}
 	if playback <= 0 {
@@ -44,6 +41,21 @@ func NewReplay(name string, times []time.Duration, qps []float64, playback time.
 		end = time.Second
 	}
 	return &Replay{name: name, times: times, qps: qps, length: playback, traceTo: end}, nil
+}
+
+// sampleErr reports why sample i of a trace is unusable, or nil.
+func sampleErr(times []time.Duration, qps []float64, i int) error {
+	switch t, q := times[i], qps[i]; {
+	case t < 0:
+		return fmt.Errorf("negative time %v", t)
+	case i > 0 && t < times[i-1]:
+		return fmt.Errorf("time %v before the previous sample's %v (not ascending)", t, times[i-1])
+	case math.IsNaN(q) || math.IsInf(q, 0):
+		return fmt.Errorf("non-finite qps %v", q)
+	case q < 0:
+		return fmt.Errorf("negative qps %v", q)
+	}
+	return nil
 }
 
 // LoadReplayCSV reads a trace with header "t_seconds,qps" (extra columns
@@ -79,8 +91,17 @@ func LoadReplayCSV(name string, r io.Reader, playback time.Duration) (*Replay, e
 		if err != nil {
 			return nil, fmt.Errorf("loadprofile: row %d: %w", i+1, err)
 		}
-		times = append(times, time.Duration(ts*float64(time.Second)))
+		// A float outside int64's range has no defined Duration
+		// conversion; it must not wrap into a plausible-looking time.
+		ns := ts * float64(time.Second)
+		if math.IsNaN(ns) || ns >= 1<<63 || ns < -(1<<63) {
+			return nil, fmt.Errorf("loadprofile: row %d: t_seconds %v outside the representable range", i+1, ts)
+		}
+		times = append(times, time.Duration(ns))
 		qps = append(qps, q)
+		if err := sampleErr(times, qps, i); err != nil {
+			return nil, fmt.Errorf("loadprofile: row %d: %w", i+1, err)
+		}
 	}
 	return NewReplay(name, times, qps, playback)
 }

@@ -134,3 +134,49 @@ func TestLoadReplayCSVErrors(t *testing.T) {
 		t.Error("non-numeric qps should fail")
 	}
 }
+
+// Each case once loaded: a non-finite rate made QPS return NaN
+// everywhere, negative times played back only the last sample, and a
+// time beyond time.Duration's range wrapped to a negative Duration and
+// was reported as "not ascending".
+func TestLoadReplayCSVRejectsUnusableSamples(t *testing.T) {
+	for _, tc := range []struct {
+		name, trace, row string
+	}{
+		{"nan qps", "t_seconds,qps\n0,1\n1,NaN\n", "row 2"},
+		{"inf qps", "t_seconds,qps\n0,+Inf\n1,5\n", "row 1"},
+		{"negative times", "t_seconds,qps\n-5,1\n-1,5\n", "row 1"},
+		{"time beyond Duration", "t_seconds,qps\n0,1\n1e10,5\n", "row 2"},
+		{"nan time", "t_seconds,qps\n0,1\nNaN,5\n", "row 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := LoadReplayCSV("x", strings.NewReader(tc.trace), time.Minute)
+			if err == nil {
+				t.Fatal("trace loaded")
+			}
+			if !strings.Contains(err.Error(), tc.row) {
+				t.Errorf("error %q does not name %s", err, tc.row)
+			}
+		})
+	}
+}
+
+func TestNewReplayRejectsUnusableSamples(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		times []time.Duration
+		qps   []float64
+	}{
+		{"nan qps", []time.Duration{0, 1}, []float64{1, math.NaN()}},
+		{"inf qps", []time.Duration{0, 1}, []float64{math.Inf(1), 1}},
+		{"negative time", []time.Duration{-5 * time.Second, -time.Second}, []float64{1, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := NewReplay("x", tc.times, tc.qps, time.Minute); err == nil {
+				t.Fatal("samples accepted")
+			} else if !strings.Contains(err.Error(), "sample") {
+				t.Errorf("error %q does not name the sample", err)
+			}
+		})
+	}
+}

@@ -26,7 +26,6 @@ func (c *Column) Len() int { return len(c.data) }
 
 // Append adds a value and returns its row position.
 func (c *Column) Append(v int64) int {
-	//ecllint:allow hotpath the column grows by the appended row; doubling amortizes the copies
 	c.data = append(c.data, v)
 	return len(c.data) - 1
 }

@@ -3,170 +3,85 @@ package storage
 import "fmt"
 
 // KVStore is one partition's share of the paper's custom key-value store
-// benchmark: 4-byte keys and values, uniformly distributed. In the indexed
-// variant lookups go through the hash index (memory-latency-bound); in the
-// non-indexed variant every lookup scans the key column (memory-
-// bandwidth-bound), which is exactly the workload pair the paper uses to
-// produce opposite energy profiles.
+// benchmark: 4-byte keys and values, uniformly distributed. A HashIndex32
+// maps each key to its row, and the values sit densely in row order in a
+// 4-byte array. The index slot already packs the key, so there is no key
+// column. The benchmark's non-indexed variant differs from the indexed one
+// only in its modelled cost (workload.KV), so the store has one access
+// path.
 type KVStore struct {
-	keys    *Column
-	values  *Column
-	index   *HashIndex32
-	indexed bool
+	index  *HashIndex32
+	values []uint32
 }
 
-// NewKVStore creates a store. indexed selects the access path. The
-// columns get modest headroom beyond capacity: a store preloaded exactly
-// to its capacity hint would otherwise copy every column on the first
-// runtime insert.
-func NewKVStore(capacity int, indexed bool) *KVStore {
-	cols := capacity + capacity/8
-	kv := &KVStore{
-		keys:    NewColumn("key", cols),
-		values:  NewColumn("value", cols),
-		indexed: indexed,
+// NewKVStore creates a store pre-sized for capacity keys. The value array
+// gets modest headroom beyond capacity: a store preloaded exactly to its
+// capacity hint would otherwise copy the array on the first runtime
+// insert.
+func NewKVStore(capacity int) *KVStore {
+	return &KVStore{
+		index:  NewHashIndex32(capacity),
+		values: make([]uint32, 0, capacity+capacity/8),
 	}
-	if indexed {
-		kv.index = NewHashIndex32(capacity)
-	}
-	return kv
 }
-
-// Indexed reports the access path variant.
-func (kv *KVStore) Indexed() bool { return kv.indexed }
 
 // Len returns the number of live keys.
-func (kv *KVStore) Len() int {
-	if kv.indexed {
-		return kv.index.Len()
-	}
-	return kv.keys.Len()
-}
+func (kv *KVStore) Len() int { return kv.index.Len() }
 
-// Put stores a key-value pair. Existing keys are overwritten.
+// Put stores a key-value pair. Existing keys are overwritten. One probe
+// chain serves both outcomes: the row an insert would occupy is known
+// before appending (values append densely), so the index upsert and the
+// existence check share one walk.
 func (kv *KVStore) Put(key, value uint32) {
-	if kv.indexed {
-		// Single probe chain for both outcomes: the row an insert would
-		// occupy is known before appending (columns append densely), so
-		// the index upsert and the existence check share one walk instead
-		// of Get-then-Put's two.
-		row := uint32(kv.values.Len())
-		if got, inserted := kv.index.GetOrInsert(key, row); inserted {
-			kv.keys.Append(int64(key))
-			kv.values.Append(int64(value))
-		} else {
-			kv.values.Set(int(got), int64(value))
-		}
-		return
+	row := uint32(len(kv.values))
+	if got, inserted := kv.index.GetOrInsert(key, row); inserted {
+		//ecllint:allow hotpath the value array grows by the inserted row; doubling amortizes the copies
+		kv.values = append(kv.values, value)
+	} else {
+		kv.values[got] = value
 	}
-	// Non-indexed: scan for the key, overwrite or append.
-	if row, ok := kv.scanFind(key); ok {
-		kv.values.Set(row, int64(value))
-		return
-	}
-	kv.keys.Append(int64(key))
-	kv.values.Append(int64(value))
 }
 
 // PutBatch stores a batch of pairs, equivalent to calling Put for each
-// pair in order. The indexed path is Put's single-probe upsert unrolled
-// over the batch: one GetOrInsert chain per key, no second walk.
+// pair in order, with the value slice header kept in a local.
 func (kv *KVStore) PutBatch(keys, values []uint32) {
-	if !kv.indexed {
-		for i := range keys {
-			kv.Put(keys[i], values[i])
-		}
-		return
-	}
-	// Work on the column slices directly (same package) so the per-row
-	// loop appends without method dispatch; write the headers back once.
-	kd, vd := kv.keys.data, kv.values.data
+	vd := kv.values
 	for i := range keys {
 		row := uint32(len(vd))
 		if got, inserted := kv.index.GetOrInsert(keys[i], row); inserted {
-			kd = append(kd, int64(keys[i]))
-			vd = append(vd, int64(values[i]))
+			vd = append(vd, values[i])
 		} else {
-			vd[got] = int64(values[i])
+			vd[got] = values[i]
 		}
 	}
-	kv.keys.data, kv.values.data = kd, vd
+	kv.values = vd
 }
 
 // Get retrieves the value for a key.
 func (kv *KVStore) Get(key uint32) (uint32, bool) {
-	if kv.indexed {
-		row, ok := kv.index.Get(key)
-		if !ok {
-			return 0, false
-		}
-		return uint32(kv.values.Get(int(row))), true
-	}
-	row, ok := kv.scanFind(key)
+	row, ok := kv.index.Get(key)
 	if !ok {
 		return 0, false
 	}
-	return uint32(kv.values.Get(row)), true
+	return kv.values[row], true
 }
 
 // MultiGet retrieves a batch of keys (the store's client API is a
 // multi-get — one request carries many point accesses). vals[i] and
 // found[i] are set exactly as by Get(keys[i]); all slices must have the
-// same length. The indexed path overlaps the hash probes of eight keys
-// at a time via HashIndex32.MultiGet.
+// same length. HashIndex32.MultiGet overlaps the probes' cache misses;
+// the rows it returns are then replaced by their values in place.
 func (kv *KVStore) MultiGet(keys []uint32, vals []uint32, found []bool) {
-	if !kv.indexed {
-		for i, k := range keys {
-			v, ok := kv.Get(k)
-			vals[i], found[i] = v, ok
-		}
-		return
-	}
-	const group = 8
-	var rows [group]uint32
-	var hit [group]bool
-	for base := 0; base < len(keys); base += group {
-		n := len(keys) - base
-		if n > group {
-			n = group
-		}
-		kv.index.MultiGet(keys[base:base+n], rows[:n], hit[:n])
-		for j := 0; j < n; j++ {
-			if hit[j] {
-				vals[base+j], found[base+j] = uint32(kv.values.Get(int(rows[j]))), true
-			} else {
-				vals[base+j], found[base+j] = 0, false
-			}
+	kv.index.MultiGet(keys, vals, found)
+	for i, hit := range found {
+		if hit {
+			vals[i] = kv.values[vals[i]]
 		}
 	}
-}
-
-// scanFind locates a key by scanning the key column (returning the last
-// occurrence, the visible version).
-func (kv *KVStore) scanFind(key uint32) (int, bool) {
-	found, ok := -1, false
-	for row := 0; row < kv.keys.Len(); row++ {
-		if uint32(kv.keys.Get(row)) == key {
-			found, ok = row, true
-		}
-	}
-	return found, ok
 }
 
 // MemBytes estimates the store's footprint.
-func (kv *KVStore) MemBytes() int {
-	total := kv.keys.MemBytes() + kv.values.MemBytes()
-	if kv.index != nil {
-		total += kv.index.MemBytes()
-	}
-	return total
-}
+func (kv *KVStore) MemBytes() int { return cap(kv.values)*4 + kv.index.MemBytes() }
 
 // String summarizes the store.
-func (kv *KVStore) String() string {
-	mode := "non-indexed"
-	if kv.indexed {
-		mode = "indexed"
-	}
-	return fmt.Sprintf("KVStore{%s, keys=%d}", mode, kv.Len())
-}
+func (kv *KVStore) String() string { return fmt.Sprintf("KVStore{keys=%d}", kv.Len()) }

@@ -49,28 +49,26 @@ func TestMultiGetMatchesGet(t *testing.T) {
 	}
 }
 
-// TestKVStoreMultiGetMatchesGet checks the store-level batch path
-// (indexed and non-indexed variants) against per-key Get.
+// TestKVStoreMultiGetMatchesGet checks the store-level batch path against
+// per-key Get.
 func TestKVStoreMultiGetMatchesGet(t *testing.T) {
-	for _, indexed := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(13))
-		kv := NewKVStore(256, indexed)
-		for i := 0; i < 300; i++ {
-			kv.Put(uint32(rng.Intn(512)), rng.Uint32())
-		}
-		keys := make([]uint32, 61)
-		vals := make([]uint32, len(keys))
-		found := make([]bool, len(keys))
-		for i := range keys {
-			keys[i] = uint32(rng.Intn(1024))
-		}
-		kv.MultiGet(keys, vals, found)
-		for i, k := range keys {
-			wantV, wantOK := kv.Get(k)
-			if vals[i] != wantV || found[i] != wantOK {
-				t.Fatalf("indexed=%v: MultiGet[%d] key %d = (%d,%v), Get = (%d,%v)",
-					indexed, i, k, vals[i], found[i], wantV, wantOK)
-			}
+	rng := rand.New(rand.NewSource(13))
+	kv := NewKVStore(256)
+	for i := 0; i < 300; i++ {
+		kv.Put(uint32(rng.Intn(512)), rng.Uint32())
+	}
+	keys := make([]uint32, 61)
+	vals := make([]uint32, len(keys))
+	found := make([]bool, len(keys))
+	for i := range keys {
+		keys[i] = uint32(rng.Intn(1024))
+	}
+	kv.MultiGet(keys, vals, found)
+	for i, k := range keys {
+		wantV, wantOK := kv.Get(k)
+		if vals[i] != wantV || found[i] != wantOK {
+			t.Fatalf("MultiGet[%d] key %d = (%d,%v), Get = (%d,%v)",
+				i, k, vals[i], found[i], wantV, wantOK)
 		}
 	}
 }

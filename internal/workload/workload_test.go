@@ -3,6 +3,8 @@ package workload
 import (
 	"math/rand"
 	"testing"
+
+	"ecldb/internal/storage"
 )
 
 const testParts = 8
@@ -98,6 +100,28 @@ func TestKVCharacteristicsOpposite(t *testing.T) {
 	}
 	if scan.BytesPerInstr <= idx.BytesPerInstr {
 		t.Error("non-indexed KV should be bandwidth-bound")
+	}
+}
+
+// TestKVPartitionFootprint pins the kv store's layout: a built partition
+// is one 73,728-slot value array of 4-byte values (65,536 rows plus 1/8
+// headroom) and a 131,072-bucket HashIndex32 (8-byte slots plus a state
+// byte each). A store that reports the same bytes as a fresh, empty one
+// was preloaded without regrowing either.
+func TestKVPartitionFootprint(t *testing.T) {
+	for _, indexed := range []bool{true, false} {
+		st := NewKV(indexed).NewPartition(0, testRng()).(*kvPartition).store
+		const want = 73728*4 + 131072*(8+1)
+		if got := st.MemBytes(); got != want {
+			t.Errorf("indexed=%v: MemBytes = %d, want %d", indexed, got, want)
+		}
+		if fresh := storage.NewKVStore(kvRowsPerPartition).MemBytes(); st.MemBytes() != fresh {
+			t.Errorf("indexed=%v: preload regrew the store: %d bytes, a fresh one has %d",
+				indexed, st.MemBytes(), fresh)
+		}
+		if st.Len() < kvRowsPerPartition-16 {
+			t.Errorf("indexed=%v: Len = %d, want about %d", indexed, st.Len(), kvRowsPerPartition)
+		}
 	}
 }
 

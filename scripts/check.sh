@@ -10,7 +10,9 @@
 #              §13), with stale-suppression detection
 #   tests      the short suite (the full figure sweep takes tens of
 #              minutes; heavy regenerators honor -short)
-#   race       the byte-identical determinism test under the race
+#   fuzz       a fixed 10 s native-fuzzing budget on the replay-trace
+#              loader
+#   race      the byte-identical determinism test under the race
 #              detector, proving the core is goroutine-free at runtime,
 #              plus the parallel-vs-sequential sweep byte-identity test,
 #              proving the bench orchestrator's fan-out changes nothing
@@ -61,6 +63,13 @@ go run ./cmd/ecllint -unused-directives ./internal/lint ./cmd/ecllint
 
 step "go test -short"
 go test -short -count=1 ./...
+
+step "fuzz LoadReplayCSV (10 s)"
+# A fixed budget of native fuzzing over the replay-trace loader: it must
+# return an error or a profile whose rate is finite and non-negative. The
+# committed seed corpus (internal/loadprofile/testdata/fuzz) already ran
+# in the short suite above; a new crasher lands next to it and fails here.
+go test -run=NONE -fuzz=FuzzLoadReplayCSV -fuzztime=10s ./internal/loadprofile
 
 step "determinism under -race"
 go test -race -short -count=1 -run 'TestDeterminism' ./internal/sim
