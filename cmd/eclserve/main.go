@@ -114,7 +114,7 @@ func main() {
 		ob.Energy = energyattr.New(hw.HaswellEP().Sockets)
 	}
 
-	pub := serve.NewPublisher(ob, pace, 0)
+	pub := serve.NewPublisher(ob, pace)
 	topo := hw.HaswellEP()
 	srv := serve.NewServer(serve.Meta{
 		Title:       title,

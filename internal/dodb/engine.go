@@ -170,8 +170,10 @@ type Engine struct {
 	obsLatency    *obs.Histogram
 	obsWorkerMove []*obs.Counter // per socket
 	// prevActive tracks the per-socket active worker count of the
-	// previous step for sleep/wake transition events.
+	// previous step for sleep/wake transition events; stepActive is
+	// Step's reused buffer of the current counts.
 	prevActive []int
+	stepActive []int
 	// noActive is the all-zero active count ObserveParked reports.
 	noActive []int
 	obsOn    bool
@@ -333,7 +335,7 @@ func (e *Engine) CharacteristicsEpoch() uint64 {
 // any worker, and every socket's last reported utilization zero. In this
 // state a Step with zero offered load has no effect beyond re-deriving the
 // same zeros and the worker observation — which the fast-forward paths
-// reproduce (IdleQuantum, IdleStretch, ObserveParked) — so it licenses the
+// reproduce (IdleStretch, ObserveParked) — so it licenses the
 // simulation's quiescent fast paths whether or not an observer is
 // attached.
 func (e *Engine) Quiescent() bool {
@@ -400,6 +402,7 @@ func (e *Engine) SetObserver(ob *obs.Observer) {
 		}
 	}
 	e.prevActive = make([]int, e.topo.Sockets)
+	e.stepActive = make([]int, e.topo.Sockets)
 	e.noActive = make([]int, e.topo.Sockets)
 	e.obsOn = ob != nil
 	e.tracer = ob.Tracer()
@@ -736,24 +739,9 @@ func (e *Engine) Step(now, dt time.Duration, active [][]bool, budget [][]float64
 					n++
 				}
 			}
-			if prev := e.prevActive[s]; n != prev {
-				t := obs.EvWorkerWake
-				if n < prev {
-					t = obs.EvWorkerSleep
-				}
-				e.obsLog.Emit(obs.Event{
-					At:     units.Virtual(now),
-					Type:   t,
-					Socket: s,
-					A:      float64(n),
-					B:      float64(prev),
-				})
-				if s < len(e.obsWorkerMove) {
-					e.obsWorkerMove[s].Inc()
-				}
-				e.prevActive[s] = n
-			}
+			e.stepActive[s] = n
 		}
+		e.observeWorkers(now, e.stepActive)
 	}
 
 	// Query tracing: frame the step and accrue per-socket asleep time
@@ -900,51 +888,6 @@ func (e *Engine) Step(now, dt time.Duration, active [][]bool, budget [][]float64
 	return stats
 }
 
-// IdleQuantum advances the engine's cumulative accounting by one quantum
-// in which the engine provably does nothing. Preconditions (the caller's
-// to guarantee): Quiescent() holds and no load is offered this quantum.
-// Under them, a full Step degenerates to bookkeeping — the communication
-// round is a no-op, no worker acquires a partition, every busy fraction
-// is zero — and the only state Step would change is reproduced here with
-// Step's exact arithmetic, in Step's order:
-//
-//   - the worker-elasticity observation fires: a socket whose active
-//     worker count (activeCount[s]) differs from the previous step's
-//     emits one wake/sleep event and records the new count, exactly as
-//     Step does — this matters in the one-quantum window after a settle
-//     commit wakes or parks threads, before any full Step observes it;
-//   - activeSec gains one dt.Seconds() term per active worker with a
-//     positive budget (eligible[s] counts them), as sequential float adds;
-//   - busySec gains only +0.0 terms (zero busy fraction), which are
-//     dropped: busySec is never negative zero, so x + 0.0 == x exactly;
-//   - the tracer's per-socket asleep clocks accrue for sockets with no
-//     active worker, and the step frame advances;
-//   - utilization stays exactly zero (Step would recompute 0/budget).
-//
-// The discrete-event run loop calls this for every quantum inside an
-// engine-quiescent stretch, replacing Step's hub and budget scans.
-//
-//ecllint:hotpath runs every quantum of an engine-quiescent stretch
-func (e *Engine) IdleQuantum(now, dt time.Duration, eligible, activeCount []int) {
-	if e.obsOn {
-		e.observeWorkers(now, activeCount)
-	}
-	if e.tracer.Enabled() {
-		e.stepStart, e.stepEnd = now-dt, now
-		for s, n := range activeCount {
-			if n == 0 {
-				e.asleepNS[s] += dt
-			}
-		}
-	}
-	ds := dt.Seconds()
-	for s, n := range eligible {
-		for i := 0; i < n; i++ {
-			e.activeSec[s] += ds
-		}
-	}
-}
-
 // observeWorkers emits the worker-elasticity observation: one wake/sleep
 // event per socket whose active worker count moved since the previous
 // step, with Step's exact payload.
@@ -982,21 +925,39 @@ func (e *Engine) ObserveParked(now time.Duration) {
 	}
 }
 
-// IdleStretch batches n consecutive IdleQuantum calls whose eligible and
-// activeCount inputs are constant across the stretch; first is the `now`
-// of the first batched quantum (quantum i of the stretch ends at
-// first + i·dt). Relative to n per-quantum calls:
+// IdleStretch advances the engine's cumulative accounting by n
+// consecutive quanta of length dt in which the engine provably does
+// nothing; first is the `now` of the first quantum (quantum i of the
+// stretch ends at first + i·dt). Preconditions (the caller's to
+// guarantee): Quiescent() holds, no load is offered, and the eligible and
+// activeCount inputs are constant across the stretch. Under them, a full
+// Step degenerates to bookkeeping — the communication round is a no-op,
+// no worker acquires a partition, every busy fraction is zero — and the
+// only state n Steps would change is reproduced here:
 //
-//   - the wake/sleep observation can only fire on the first quantum —
-//     the counts are constant afterwards — so emitting it once at first
-//     leaves the event stream byte-identical;
-//   - the tracer's asleep clocks accrue n·dt in one add (Duration sums
-//     are exact integers) and the step frame jumps to the last quantum's;
-//   - activeSec gains one ds·n term per eligible worker instead of n
-//     sequential ds terms — the float regrouping the digest re-lock
-//     covers (DESIGN.md §16).
+//   - the worker-elasticity observation fires once, at first: a socket
+//     whose active worker count (activeCount[s]) differs from the
+//     previous step's emits one wake/sleep event and records the new
+//     count, exactly as Step does. The counts are constant afterwards,
+//     so the event stream is byte-identical. This matters in the window
+//     right after a settle commit wakes or parks threads, before any
+//     full Step observes it;
+//   - activeSec gains one ds·n term per active worker with a positive
+//     budget (eligible[s] counts them). For n = 1 that is Step's exact
+//     add; for n > 1 it replaces n sequential ds terms — the float
+//     regrouping the digest re-lock covers (DESIGN.md §16);
+//   - busySec gains only +0.0 terms (zero busy fraction), which are
+//     dropped: busySec is never negative zero, so x + 0.0 == x exactly;
+//   - the tracer's per-socket asleep clocks accrue n·dt for sockets with
+//     no active worker in one add (Duration sums are exact integers),
+//     and the step frame moves to the last quantum's;
+//   - utilization stays exactly zero (Step would recompute 0/budget).
 //
-//ecllint:hotpath runs once per fast-forwarded stretch
+// The discrete-event run loop calls this for every engine-quiescent
+// stretch, and with n = 1 for each quantum it grinds inside one,
+// replacing Step's hub and budget scans.
+//
+//ecllint:hotpath runs once per fast-forwarded stretch or ground quantum
 func (e *Engine) IdleStretch(first, dt time.Duration, n int, eligible, activeCount []int) {
 	if n <= 0 {
 		return

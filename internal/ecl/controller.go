@@ -183,28 +183,6 @@ func (c *Controller) tick() {
 	}
 }
 
-// NextDeadline reports the earliest instant at which the controller will
-// act next: the next periodic hierarchy tick, or the next scheduled
-// RTI/measurement segment transition of any socket-level ECL. ok is false
-// when the controller is stopped (or was never started) and nothing is
-// scheduled. Between now and the reported instant the controller performs
-// no work, which is what the simulation's quiescent fast path relies on.
-func (c *Controller) NextDeadline() (time.Duration, bool) {
-	best, ok := time.Duration(0), false
-	consider := func(at time.Duration, o bool) {
-		if o && (!ok || at < best) {
-			best, ok = at, true
-		}
-	}
-	for _, t := range c.tasks {
-		consider(t.Deadline())
-	}
-	for _, s := range c.sockets {
-		consider(s.NextDeadline())
-	}
-	return best, ok
-}
-
 // System returns the system-level ECL.
 func (c *Controller) System() *SystemECL { return c.system }
 

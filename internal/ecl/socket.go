@@ -837,16 +837,3 @@ func (s *SocketECL) cancelPending() {
 		s.eattr.CancelFrom(s.socket, energyattr.KindRTISleep, now)
 	}
 }
-
-// NextDeadline reports the earliest still-pending scheduled segment
-// transition of this socket's plan, or ok=false when none is pending
-// (fired and cancelled operations are excluded).
-func (s *SocketECL) NextDeadline() (time.Duration, bool) {
-	best, ok := time.Duration(0), false
-	for _, t := range s.pendingOps {
-		if at, o := t.Deadline(); o && (!ok || at < best) {
-			best, ok = at, true
-		}
-	}
-	return best, ok
-}

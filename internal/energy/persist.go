@@ -53,7 +53,8 @@ func (p *Profile) Save(w io.Writer) error {
 }
 
 // LoadProfile reads a profile saved by Save. Configurations are validated
-// against the topology.
+// against the topology, and an evaluated entry's power and score with the
+// check Profile.Update applies; its evaluation time must not be negative.
 func LoadProfile(r io.Reader, topo hw.Topology) (*Profile, error) {
 	var in profileFile
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -71,16 +72,22 @@ func LoadProfile(r io.Reader, topo hw.Topology) (*Profile, error) {
 		cfgs = append(cfgs, cfg)
 	}
 	p := NewProfile(topo, cfgs)
-	for _, ef := range in.Entries {
+	for i, ef := range in.Entries {
 		if !ef.Evaluated {
 			continue
 		}
-		cfg := hw.Configuration{Threads: ef.Threads, CoreMHz: ef.CoreMHz, UncoreMHz: ef.UncoreMHz}
-		e := p.Lookup(cfg)
+		power, score := units.WattsOf(ef.PowerW), units.HertzOf(ef.Score)
+		if err := checkMeasurement(power, score); err != nil {
+			return nil, fmt.Errorf("energy: entry %d: %w", i, err)
+		}
+		if ef.LastEvalNs < 0 {
+			return nil, fmt.Errorf("energy: entry %d: negative last_eval_ns %d", i, ef.LastEvalNs)
+		}
+		e := p.Lookup(cfgs[i])
 		if e == nil {
 			continue // duplicate hardware state fused away
 		}
-		e.PowerW, e.Score = units.WattsOf(ef.PowerW), units.HertzOf(ef.Score)
+		e.PowerW, e.Score = power, score
 		e.Evaluated = true
 		e.LastEval = time.Duration(ef.LastEvalNs)
 	}

@@ -71,3 +71,41 @@ func TestLoadProfileRejectsGarbage(t *testing.T) {
 		t.Error("mismatched topology should fail")
 	}
 }
+
+// evaluatedEntryJSON is a saved one-entry profile of the all-threads,
+// top-clock configuration of the test topology, evaluated with the given
+// measurements.
+func evaluatedEntryJSON(powerW, score string, lastEvalNs string) string {
+	threads := strings.TrimSuffix(strings.Repeat("true,", topo.ThreadsPerSocket()), ",")
+	cores := strings.TrimSuffix(strings.Repeat("3100,", topo.ThreadsPerSocket()/topo.ThreadsPerCore), ",")
+	return `{"version":1,"entries":[{"threads":[` + threads + `],"core_mhz":[` + cores +
+		`],"uncore_mhz":3000,"power_w":` + powerW + `,"score":` + score +
+		`,"evaluated":true,"last_eval_ns":` + lastEvalNs + `}]}`
+}
+
+// TestLoadProfileRejectsNegativeMeasurements checks that a saved profile
+// cannot carry a measurement Profile.Update refuses: each negative field
+// fails the load with an error naming the entry.
+func TestLoadProfileRejectsNegativeMeasurements(t *testing.T) {
+	if _, err := LoadProfile(strings.NewReader(evaluatedEntryJSON("50", "1e9", "5")), topo); err != nil {
+		t.Fatalf("valid measurement rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		field, json string
+	}{
+		{"power_w", evaluatedEntryJSON("-50", "1e9", "5")},
+		{"score", evaluatedEntryJSON("50", "-1e9", "5")},
+		{"last_eval_ns", evaluatedEntryJSON("50", "1e9", "-5")},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			p, err := LoadProfile(strings.NewReader(tc.json), topo)
+			if err == nil {
+				e := p.Entries()[0]
+				t.Fatalf("loaded power=%v score=%v last_eval=%v", e.PowerW, e.Score, e.LastEval)
+			}
+			if !strings.Contains(err.Error(), "entry 0") {
+				t.Errorf("error %q does not name the entry", err)
+			}
+		})
+	}
+}

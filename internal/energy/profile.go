@@ -121,8 +121,8 @@ func (p *Profile) Update(cfg hw.Configuration, powerW units.Watt, score units.He
 	if e == nil {
 		return 0, fmt.Errorf("energy: configuration %s not in profile", cfg)
 	}
-	if powerW < 0 || score < 0 {
-		return 0, fmt.Errorf("energy: negative measurement power=%g score=%g", powerW, score)
+	if err := checkMeasurement(powerW, score); err != nil {
+		return 0, fmt.Errorf("energy: %w", err)
 	}
 	if !e.Evaluated {
 		e.PowerW, e.Score = powerW, score
@@ -146,6 +146,16 @@ func (p *Profile) Update(cfg hw.Configuration, powerW units.Watt, score units.He
 		drift = abs(newEff-oldEff) / oldEff
 	}
 	return drift, nil
+}
+
+// checkMeasurement rejects a measurement no socket produces: a negative
+// power or score. Update and LoadProfile share it, so a saved profile
+// cannot carry what the runtime refuses.
+func checkMeasurement(powerW units.Watt, score units.Hertz) error {
+	if powerW < 0 || score < 0 {
+		return fmt.Errorf("negative measurement power=%g score=%g", powerW, score)
+	}
+	return nil
 }
 
 // MostEfficient returns the evaluated non-idle entry with the highest

@@ -385,28 +385,6 @@ func (h *Hub) DequeueOne(worker, partition int) (*Message, error) {
 	return m, nil
 }
 
-// Dequeue pops up to max messages from an owned partition. The caller
-// must hold ownership.
-func (h *Hub) Dequeue(worker, partition int, max int) ([]*Message, error) {
-	q := h.q(partition)
-	if q == nil {
-		return nil, fmt.Errorf("msg: partition %d not homed on socket %d", partition, h.socket)
-	}
-	if q.owner != worker {
-		return nil, fmt.Errorf("msg: worker %d dequeuing partition %d owned by %d", worker, partition, q.owner)
-	}
-	var out []*Message
-	for len(out) < max {
-		m := q.pop()
-		if m == nil {
-			break
-		}
-		out = append(out, m)
-	}
-	h.pending -= len(out)
-	return out, nil
-}
-
 // QueueLen returns the number of pending messages of one partition.
 func (h *Hub) QueueLen(partition int) int {
 	if q := h.q(partition); q != nil {

@@ -7,6 +7,20 @@ import (
 
 func mkMsg(p int) *Message { return &Message{Partition: p, Instr: 100} }
 
+// dequeueUpTo pops up to max messages of an owned partition through
+// DequeueOne, the way a worker drains a batch.
+func dequeueUpTo(h *Hub, worker, partition, max int) ([]*Message, error) {
+	var out []*Message
+	for len(out) < max {
+		m, err := h.DequeueOne(worker, partition)
+		if err != nil || m == nil {
+			return out, err
+		}
+		out = append(out, m)
+	}
+	return out, nil
+}
+
 func TestHubEnqueueDequeueFIFO(t *testing.T) {
 	h := NewHub(0, []int{1, 2})
 	for i := 0; i < 5; i++ {
@@ -23,7 +37,7 @@ func TestHubEnqueueDequeueFIFO(t *testing.T) {
 	if !ok || p != 1 {
 		t.Fatalf("Acquire = %d,%v, want 1,true", p, ok)
 	}
-	batch, err := h.Dequeue(7, 1, 3)
+	batch, err := dequeueUpTo(h, 7, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +57,8 @@ func TestHubEnqueueDequeueFIFO(t *testing.T) {
 	}
 }
 
-// DequeueOne mirrors Dequeue's FIFO order, pending accounting, and
-// ownership checks, one message at a time and without a batch slice.
+// DequeueOne keeps FIFO order, pending accounting, and ownership checks,
+// one message at a time and without a batch slice.
 func TestHubDequeueOne(t *testing.T) {
 	h := NewHub(0, []int{1})
 	for i := 0; i < 3; i++ {
@@ -111,7 +125,7 @@ func TestHubOwnershipExcludes(t *testing.T) {
 	if _, ok := h.Acquire(2); ok {
 		t.Fatal("second worker acquired an owned partition")
 	}
-	if _, err := h.Dequeue(2, 1, 1); err == nil {
+	if _, err := dequeueUpTo(h, 2, 1, 1); err == nil {
 		t.Fatal("dequeue without ownership should fail")
 	}
 	if err := h.Release(2, 1); err == nil {
@@ -176,7 +190,7 @@ func TestHubElasticWorkerAssignment(t *testing.T) {
 		if !ok {
 			t.Fatalf("round %d: acquire failed", round)
 		}
-		if _, err := h.Dequeue(worker, p, 10); err != nil {
+		if _, err := dequeueUpTo(h, worker, p, 10); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.Release(worker, p); err != nil {
@@ -312,7 +326,7 @@ func TestConservationOfMessages(t *testing.T) {
 				s := next(2)
 				h := r.Hub(s)
 				if p, ok := h.Acquire(1); ok {
-					batch, err := h.Dequeue(1, p, 1+next(5))
+					batch, err := dequeueUpTo(h, 1, p, 1+next(5))
 					if err != nil {
 						return false
 					}

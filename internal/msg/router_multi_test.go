@@ -71,7 +71,7 @@ func TestHubNoStarvationUnderSkew(t *testing.T) {
 		if !ok {
 			break
 		}
-		batch, err := h.Dequeue(1, p, 10)
+		batch, err := dequeueUpTo(h, 1, p, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

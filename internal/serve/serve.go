@@ -19,9 +19,12 @@
 //     latest-wins channel.
 //   - The HTTP side only ever reads snapshots. Nothing flows back.
 //
-// Pacing rides on the same hook: in paced mode the Publisher sleeps on
-// OnQuantum until the wall clock catches up with virtual time, so a
-// "3 minute" experiment can be watched in real time (or at any multiple).
+// Pacing rides on the same hook: in paced mode the Publisher sleeps in
+// OnSample, before each publish, until the wall clock catches up with
+// virtual time, so a "3 minute" experiment can be watched in real time
+// (or at any multiple). A viewer only ever sees published snapshots, so
+// pacing at sample boundaries gives every snapshot the same wall
+// placement a per-quantum pace would.
 // Sleeping changes only wall-clock placement, never simulation state, so
 // a served run's determinism digest is byte-identical to a headless run
 // (TestServingBehaviorNeutral).
@@ -63,24 +66,20 @@ type Publisher struct {
 	// pace is the virtual-to-wall speed ratio: 1 replays in real time,
 	// 10 at ten times real time, 0 runs unpaced (max speed).
 	pace float64
-	// every is the minimum virtual time between publishes; 0 publishes
-	// at every trace sample.
-	every time.Duration
 
-	seq     uint64
-	lastPub time.Duration
-	havePub bool
+	seq uint64
 
-	started   bool
+	// wallStart and virtStart anchor pacing at the first sample; a zero
+	// wallStart means no sample has been paced yet.
 	wallStart time.Time
 	virtStart time.Duration
 }
 
 // NewPublisher builds a publisher over the observer a simulation is wired
-// with. pace <= 0 runs unpaced; every <= 0 publishes at every trace
-// sample of the run.
-func NewPublisher(ob *obs.Observer, pace float64, every time.Duration) *Publisher {
-	return &Publisher{ob: ob, pace: pace, every: every, ch: make(chan *Snapshot, 1)}
+// with. It publishes at every trace sample of the run; pace <= 0 runs
+// unpaced.
+func NewPublisher(ob *obs.Observer, pace float64) *Publisher {
+	return &Publisher{ob: ob, pace: pace, ch: make(chan *Snapshot, 1)}
 }
 
 // Snapshots returns the channel the publisher hands snapshots over. It
@@ -88,32 +87,17 @@ func NewPublisher(ob *obs.Observer, pace float64, every time.Duration) *Publishe
 // the final, Done-marked snapshot of the run.
 func (p *Publisher) Snapshots() <-chan *Snapshot { return p.ch }
 
-// OnQuantum implements the pacing half of sim.StepHook: in paced mode it
-// parks the simulation thread until the wall clock catches up with the
-// virtual clock. The wall anchor is set on the first quantum, so prewarm
+// OnSample implements sim.StepHook: a snapshot is taken at every trace
+// sample (when the gauges were just refreshed). In paced mode the
+// simulation thread first parks until the wall clock catches up with the
+// virtual clock. The wall anchor is set on the first sample, so prewarm
 // (which runs before the loop) is never paced.
-func (p *Publisher) OnQuantum(now time.Duration) {
-	if p.pace <= 0 {
-		return
-	}
-	if !p.started {
-		p.started = true
-		p.wallStart = time.Now()
-		p.virtStart = now
-		return
-	}
-	target := p.wallStart.Add(time.Duration(float64(now-p.virtStart) / p.pace))
-	if d := time.Until(target); d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// OnSample implements the publishing half of sim.StepHook: a snapshot is
-// taken at trace-sample boundaries (when the gauges were just refreshed),
-// rate-limited to one per `every` of virtual time.
 func (p *Publisher) OnSample(now time.Duration) {
-	if p.havePub && p.every > 0 && now-p.lastPub < p.every {
-		return
+	if p.pace > 0 {
+		if p.wallStart.IsZero() {
+			p.wallStart, p.virtStart = time.Now(), now
+		}
+		time.Sleep(time.Until(p.wallStart.Add(time.Duration(float64(now-p.virtStart) / p.pace))))
 	}
 	p.publish(now, false)
 }
@@ -131,7 +115,6 @@ func (p *Publisher) OnDone(now time.Duration) {
 // the simulation on a slow consumer.
 func (p *Publisher) publish(now time.Duration, done bool) {
 	p.seq++
-	p.lastPub, p.havePub = now, true
 	snap := &Snapshot{Seq: p.seq, At: now, Done: done, Obs: p.ob.Snapshot()}
 	for {
 		select {

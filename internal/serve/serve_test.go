@@ -200,7 +200,7 @@ func TestServeEndToEnd(t *testing.T) {
 	runLen := 4 * time.Second
 	opts.Load = loadprofile.Constant{Qps: 6000, Len: runLen}
 
-	pub := serve.NewPublisher(ob, 0, 0)
+	pub := serve.NewPublisher(ob, 0)
 	opts.Hook = pub
 	srv := serve.NewServer(serve.Meta{
 		Title: "e2e", Workload: "kv", Level: "full",
@@ -389,7 +389,7 @@ func TestServingBehaviorNeutral(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ob := newObserver()
 			opts := simOptions(ob)
-			pub := serve.NewPublisher(ob, tc.pace, 0)
+			pub := serve.NewPublisher(ob, tc.pace)
 			opts.Hook = pub
 			srv := serve.NewServer(serve.Meta{Title: "neutrality", Sockets: 2})
 			go srv.Run(pub.Snapshots())

@@ -19,7 +19,7 @@ import (
 //     statement, to the reference walk's (runQuanta).
 //   - Quiescent stretches (engine empty, zero offered load) fast-forward:
 //     idle sockets skip the engine entirely (the macro-step), and
-//     active-but-workless sockets run Engine.IdleQuantum plus a constant
+//     active-but-workless sockets run Engine.IdleStretch plus a constant
 //     activity set, replicating the full path's per-quantum arithmetic
 //     without its hub and budget scans. Where the machine proves a
 //     stretch constant-state it integrates it in closed form
@@ -116,7 +116,6 @@ func (s *Sim) runEvents(dur time.Duration) error {
 // quantum, as the quantum loop does at the profile's tail).
 func (s *Sim) advanceTo(t *time.Duration, target time.Duration, switched *bool) error {
 	q := s.opts.Quantum
-	hook := s.opts.Hook
 	for *t < target {
 		if !*switched && s.opts.SwitchAt > 0 && *t >= s.opts.SwitchAt && s.opts.SwitchTo != nil {
 			if err := s.engine.SwitchWorkload(s.opts.SwitchTo); err != nil {
@@ -139,9 +138,6 @@ func (s *Sim) advanceTo(t *time.Duration, target time.Duration, switched *bool) 
 			return err
 		}
 		s.step(q)
-		if hook != nil {
-			hook.OnQuantum(s.clock.Now())
-		}
 		*t += q
 	}
 	return nil
@@ -151,7 +147,7 @@ func (s *Sim) advanceTo(t *time.Duration, target time.Duration, switched *bool) 
 // returns how many consecutive quanta are provably workless (engine
 // quiescent, zero offered load throughout) and whether every socket is
 // also configured idle (licensing the engine-skipping macro-step instead
-// of the IdleQuantum stretch). 0 or 1 means "grind". The window is
+// of the active-socket stretchStep). 0 or 1 means "grind". The window is
 // licensed only when every quantum it replaces would provably do nothing
 // the fast-forward does not reproduce: a pending workload switch caps the
 // span; a clock task deadline D may mutate any state, so the last quantum
@@ -239,7 +235,7 @@ func (s *Sim) initStretch() {
 }
 
 // stretchStep fast-forwards up to k quanta through an engine-quiescent
-// window with active sockets: per quantum it runs Engine.IdleQuantum (the
+// window with active sockets: per quantum it runs Engine.IdleStretch (the
 // bookkeeping Step degenerates to), steps the machine under the constant
 // spin-only activity the full path would compute, and advances the clock.
 // It bails out early when any configuration or characteristics epoch
@@ -250,7 +246,8 @@ func (s *Sim) initStretch() {
 // Arithmetic identity with the ground path, term by term: the activity
 // set below evaluates stepCached's expressions with every busy fraction
 // and used-instruction count pinned to their provable zeros, and
-// Engine.IdleQuantum reproduces Step's accounting adds (see its contract).
+// Engine.IdleStretch with n = 1 reproduces Step's accounting adds (see its
+// contract).
 func (s *Sim) stretchStep(k int) int {
 	if s.stretchActs == nil {
 		s.initStretch()
@@ -313,7 +310,7 @@ func (s *Sim) stretchStep(k int) int {
 			span := time.Duration(n) * q
 			s.engine.IdleStretch(now+q, q, n, s.stretchEligible, s.stretchActive)
 			s.accrueIdleBaseline(span)
-			s.advanceQuanta(n)
+			s.clock.Advance(span)
 			s.settleStretchAttr(span)
 			done += n
 			s.batchQuanta += int64(n)
@@ -322,15 +319,12 @@ func (s *Sim) stretchStep(k int) int {
 			// kernels are still fresh.
 			continue
 		}
-		s.engine.IdleQuantum(now+q, q, s.stretchEligible, s.stretchActive)
+		s.engine.IdleStretch(now+q, q, 1, s.stretchEligible, s.stretchActive)
 		s.machine.Step(q, s.stretchActs)
 		s.accrueIdleBaseline(q)
 		s.clock.Advance(q)
 		s.settleStretchAttr(q)
 		done++
-		if s.opts.Hook != nil {
-			s.opts.Hook.OnQuantum(s.clock.Now())
-		}
 		if !s.kernelsFresh() {
 			break
 		}

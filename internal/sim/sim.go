@@ -107,17 +107,14 @@ type Options struct {
 // publish observability snapshots, without internal/sim ever importing
 // anything outside the fence (the interface is satisfied structurally).
 //
-// All three methods run on the simulation thread. Implementations may
-// block (that is how pacing works) and may read the observer wired into
-// the run via Options.Obs — at these boundaries the sim thread is parked,
-// so snapshotting obs state here is race-free — but must mutate nothing
-// the simulation can observe.
+// Both methods run on the simulation thread. Implementations may block
+// (that is how pacing works) and may read the observer wired into the run
+// via Options.Obs — at these boundaries the sim thread is parked, so
+// snapshotting obs state here is race-free — but must mutate nothing the
+// simulation can observe.
 type StepHook interface {
-	// OnQuantum fires after every advanced quantum of the run loop
-	// (macro-stepped quanta included), with the new virtual now.
-	OnQuantum(now time.Duration)
 	// OnSample fires after each trace sample, when the observability
-	// gauges have just been refreshed.
+	// gauges have just been refreshed, with the virtual now.
 	OnSample(now time.Duration)
 	// OnDone fires once, after the run loop finished and the controller
 	// stopped.
@@ -816,9 +813,6 @@ func (s *Sim) runQuanta(dur time.Duration) error {
 			return err
 		}
 		s.step(q)
-		if hook != nil {
-			hook.OnQuantum(s.clock.Now())
-		}
 		if t >= nextSample {
 			s.sample(t)
 			nextSample += sampleEvery
@@ -861,7 +855,7 @@ func (s *Sim) macroStep(k int) {
 		if n := s.machine.StepStretch(k-done, q, s.idleActs); n > 0 {
 			span := time.Duration(n) * q
 			s.accrueIdleBaseline(span)
-			s.advanceQuanta(n)
+			s.clock.Advance(span)
 			s.settleIdleAttr(span)
 			done += n
 			s.batchQuanta += int64(n)
@@ -871,34 +865,9 @@ func (s *Sim) macroStep(k int) {
 		s.accrueIdleBaseline(q)
 		s.clock.Advance(q)
 		s.settleIdleAttr(q)
-		if s.opts.Hook != nil {
-			s.opts.Hook.OnQuantum(s.clock.Now())
-		}
 		done++
 	}
 	s.macroWindows++
-}
-
-// advanceQuanta advances the virtual clock over n quanta the machine has
-// already integrated in one closed-form stretch. With no hook attached a
-// single Advance covers the whole span: the stretch planners guarantee no
-// task deadline lies strictly inside it, and a deadline coinciding with
-// the span's end fires with the machine and engine in the identical state
-// the per-quantum loop would have left them in. With a hook the clock
-// walks quantum by quantum so OnQuantum observes every boundary, exactly
-// as the per-quantum loop would — nothing the hook can read changes
-// inside a quiescent stretch, so the observed snapshots are identical
-// (the serving-neutrality test covers this path).
-func (s *Sim) advanceQuanta(n int) {
-	q := s.opts.Quantum
-	if s.opts.Hook == nil {
-		s.clock.Advance(time.Duration(n) * q)
-		return
-	}
-	for i := 0; i < n; i++ {
-		s.clock.Advance(q)
-		s.opts.Hook.OnQuantum(s.clock.Now())
-	}
 }
 
 // accrueStepAttr opens the attribution of one per-quantum step, after

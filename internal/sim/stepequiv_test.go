@@ -407,7 +407,7 @@ func BenchmarkStepKernelReference(b *testing.B) { benchStepKernel(b, true) }
 // benchIdleHeavy runs a full 60 s ECL simulation whose load profile is
 // two short bursts around a long zero plateau — the shape where the
 // discrete-event scheduler's quiescent stretches (idle macro-steps and
-// active-but-workless IdleQuantum windows) dominate the walk. The
+// active-but-workless IdleStretch windows) dominate the walk. The
 // Reference variant runs the identical scenario on the per-quantum
 // reference walk, so the pair reads what the production path's
 // fast-forward buys directly off a BENCH_*.json snapshot. No observer is

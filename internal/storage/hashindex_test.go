@@ -7,21 +7,21 @@ import (
 )
 
 func TestHashIndexPutGet(t *testing.T) {
-	h := NewHashIndex(0)
+	h := NewHashIndex32(0)
 	if _, ok := h.Get(1); ok {
 		t.Fatal("empty index returned a value")
 	}
-	if !h.Put(1, 100) {
-		t.Fatal("first Put should report new key")
+	if v, inserted := h.GetOrInsert(1, 100); !inserted || v != 100 {
+		t.Fatalf("first GetOrInsert(1) = %d,%v, want 100,true", v, inserted)
 	}
 	if v, ok := h.Get(1); !ok || v != 100 {
 		t.Fatalf("Get(1) = %d,%v, want 100,true", v, ok)
 	}
-	if h.Put(1, 200) {
-		t.Fatal("overwrite should not report new key")
+	if v, inserted := h.GetOrInsert(1, 200); inserted || v != 100 {
+		t.Fatalf("second GetOrInsert(1) = %d,%v, want the stored 100,false", v, inserted)
 	}
-	if v, _ := h.Get(1); v != 200 {
-		t.Fatalf("after overwrite Get(1) = %d, want 200", v)
+	if v, _ := h.Get(1); v != 100 {
+		t.Fatalf("after a hit Get(1) = %d, want 100", v)
 	}
 	if h.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", h.Len())
@@ -29,126 +29,54 @@ func TestHashIndexPutGet(t *testing.T) {
 }
 
 func TestHashIndexZeroKeyAndValue(t *testing.T) {
-	h := NewHashIndex(4)
-	h.Put(0, 0)
+	h := NewHashIndex32(4)
+	if _, inserted := h.GetOrInsert(0, 0); !inserted {
+		t.Fatal("GetOrInsert(0, 0) did not insert")
+	}
 	if v, ok := h.Get(0); !ok || v != 0 {
 		t.Fatalf("Get(0) = %d,%v, want 0,true", v, ok)
 	}
-	if !h.Delete(0) {
-		t.Fatal("Delete(0) failed")
-	}
-	if _, ok := h.Get(0); ok {
-		t.Fatal("deleted zero key still present")
-	}
-}
-
-func TestHashIndexDelete(t *testing.T) {
-	h := NewHashIndex(0)
-	h.Put(7, 70)
-	if !h.Delete(7) {
-		t.Fatal("Delete of present key returned false")
-	}
-	if h.Delete(7) {
-		t.Fatal("double Delete returned true")
-	}
-	if h.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", h.Len())
-	}
-	// Reinsert after delete (tombstone reuse).
-	h.Put(7, 71)
-	if v, ok := h.Get(7); !ok || v != 71 {
-		t.Fatalf("reinserted Get(7) = %d,%v", v, ok)
+	if _, ok := h.Get(1); ok {
+		t.Fatal("Get(1) found a key never inserted")
 	}
 }
 
 func TestHashIndexGrowthKeepsEntries(t *testing.T) {
-	h := NewHashIndex(0)
+	h := NewHashIndex32(0)
 	const n = 10000
-	for i := uint64(0); i < n; i++ {
-		h.Put(i*2654435761, i)
+	for i := uint32(0); i < n; i++ {
+		h.GetOrInsert(i*2654435761, i)
 	}
 	if h.Len() != n {
 		t.Fatalf("Len = %d, want %d", h.Len(), n)
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := uint32(0); i < n; i++ {
 		if v, ok := h.Get(i * 2654435761); !ok || v != i {
 			t.Fatalf("Get(%d) = %d,%v, want %d", i*2654435761, v, ok, i)
 		}
 	}
 }
 
-func TestHashIndexTombstoneChurn(t *testing.T) {
-	// Insert/delete cycles must not degrade into an unusable table.
-	h := NewHashIndex(16)
-	for round := 0; round < 200; round++ {
-		for i := uint64(0); i < 64; i++ {
-			h.Put(i, i+uint64(round))
-		}
-		for i := uint64(0); i < 64; i++ {
-			if !h.Delete(i) {
-				t.Fatalf("round %d: Delete(%d) failed", round, i)
-			}
-		}
-	}
-	if h.Len() != 0 {
-		t.Fatalf("Len = %d after churn, want 0", h.Len())
-	}
-}
-
-func TestHashIndexRange(t *testing.T) {
-	h := NewHashIndex(0)
-	want := map[uint64]uint64{}
-	for i := uint64(0); i < 100; i++ {
-		h.Put(i, i*i)
-		want[i] = i * i
-	}
-	h.Delete(50)
-	delete(want, 50)
-	got := map[uint64]uint64{}
-	h.Range(func(k, v uint64) bool {
-		got[k] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("Range[%d] = %d, want %d", k, got[k], v)
-		}
-	}
-	// Early termination.
-	visits := 0
-	h.Range(func(k, v uint64) bool {
-		visits++
-		return false
-	})
-	if visits != 1 {
-		t.Fatalf("Range after false = %d visits, want 1", visits)
-	}
-}
-
-// Property: the index behaves like a map under a random operation
-// sequence.
+// Property: the index behaves like a map with insert-if-absent semantics
+// under a random operation sequence.
 func TestHashIndexMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := NewHashIndex(0)
-		ref := map[uint64]uint64{}
+		h := NewHashIndex32(0)
+		ref := map[uint32]uint32{}
 		for op := 0; op < 2000; op++ {
-			k := uint64(rng.Intn(300))
-			switch rng.Intn(3) {
+			k := uint32(rng.Intn(300))
+			switch rng.Intn(2) {
 			case 0:
-				v := rng.Uint64()
-				h.Put(k, v)
-				ref[k] = v
-			case 1:
-				_, wantOK := ref[k]
-				if gotOK := h.Delete(k); gotOK != wantOK {
+				v := rng.Uint32()
+				wantV, hit := ref[k]
+				if !hit {
+					ref[k], wantV = v, v
+				}
+				if gotV, inserted := h.GetOrInsert(k, v); gotV != wantV || inserted == hit {
 					return false
 				}
-				delete(ref, k)
-			case 2:
+			case 1:
 				wantV, wantOK := ref[k]
 				gotV, gotOK := h.Get(k)
 				if gotOK != wantOK || (wantOK && gotV != wantV) {
@@ -163,12 +91,11 @@ func TestHashIndexMatchesMap(t *testing.T) {
 	}
 }
 
-func TestHashIndexMemBytesAndString(t *testing.T) {
-	h := NewHashIndex(100)
-	if h.MemBytes() <= 0 {
-		t.Error("MemBytes should be positive")
-	}
-	if h.String() == "" {
-		t.Error("String should be non-empty")
+func TestHashIndexMemBytes(t *testing.T) {
+	// 100 entries need 128 buckets at the 7/8 load factor: an 8-byte slot
+	// and a state byte each.
+	h := NewHashIndex32(100)
+	if got, want := h.MemBytes(), 128*9; got != want {
+		t.Errorf("MemBytes = %d, want %d", got, want)
 	}
 }

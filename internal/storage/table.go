@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Table is a collection of equally long columns, optionally indexed on one
 // key column. One Table instance holds one partition's share of a logical
@@ -11,8 +14,9 @@ type Table struct {
 	byName  map[string]int
 	// index maps key values of the key column to row positions; nil for
 	// non-indexed tables (which are accessed by full scans instead —
-	// the paper's "non-indexed" benchmark variants).
-	index  *HashIndex
+	// the paper's "non-indexed" benchmark variants). Indexed keys lie in
+	// [0, 2^32).
+	index  *HashIndex32
 	keyCol int
 	rows   int
 }
@@ -37,7 +41,7 @@ func NewTable(name string, columnNames []string, keyColumn string, capacity int)
 			return nil, fmt.Errorf("storage: table %s: key column %s not defined", name, keyColumn)
 		}
 		t.keyCol = idx
-		t.index = NewHashIndex(capacity)
+		t.index = NewHashIndex32(capacity)
 	}
 	return t, nil
 }
@@ -65,33 +69,35 @@ func (t *Table) Columns() []*Column { return t.columns }
 
 // Insert appends a row (one value per column, in definition order) and
 // returns its row position. For indexed tables the key column value must
-// be unique.
+// be unique and lie in [0, 2^32).
 func (t *Table) Insert(values []int64) (int, error) {
 	if len(values) != len(t.columns) {
 		return 0, fmt.Errorf("storage: table %s: %d values for %d columns", t.name, len(values), len(t.columns))
 	}
 	if t.index != nil {
-		if _, exists := t.index.Get(uint64(values[t.keyCol])); exists {
-			return 0, fmt.Errorf("storage: table %s: duplicate key %d", t.name, values[t.keyCol])
+		key := values[t.keyCol]
+		if key < 0 || key > math.MaxUint32 {
+			return 0, fmt.Errorf("storage: table %s: key %d outside the index's 32-bit key domain", t.name, key)
+		}
+		if _, inserted := t.index.GetOrInsert(uint32(key), uint32(t.rows)); !inserted {
+			return 0, fmt.Errorf("storage: table %s: duplicate key %d", t.name, key)
 		}
 	}
 	row := 0
 	for i, c := range t.columns {
 		row = c.Append(values[i])
 	}
-	if t.index != nil {
-		t.index.Put(uint64(values[t.keyCol]), uint64(row))
-	}
 	t.rows++
 	return row, nil
 }
 
-// LookupRow finds a row position by key using the index.
+// LookupRow finds a row position by key using the index. A key outside
+// the index's [0, 2^32) domain is never found.
 func (t *Table) LookupRow(key int64) (int, bool) {
-	if t.index == nil {
+	if t.index == nil || key < 0 || key > math.MaxUint32 {
 		return 0, false
 	}
-	row, ok := t.index.Get(uint64(key))
+	row, ok := t.index.Get(uint32(key))
 	return int(row), ok
 }
 

@@ -1,6 +1,11 @@
 package storage
 
-import "testing"
+import (
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 func newPeople(t *testing.T, indexed bool) *Table {
 	t.Helper()
@@ -44,6 +49,34 @@ func TestTableDuplicateKeyRejected(t *testing.T) {
 	}
 	if _, err := tab.Insert([]int64{1, 31, 101}); err == nil {
 		t.Fatal("duplicate key insert should fail")
+	}
+}
+
+// TestTableRejectsKeysOutsideIndexDomain checks that an indexed table
+// refuses keys its 32-bit index cannot hold instead of truncating them
+// onto other keys, and that a lookup of such a key finds nothing.
+func TestTableRejectsKeysOutsideIndexDomain(t *testing.T) {
+	tab := newPeople(t, true)
+	if _, err := tab.Insert([]int64{0, 30, 100}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Insert([]int64{math.MaxUint32, 31, 101}); err != nil {
+		t.Fatalf("largest 32-bit key rejected: %v", err)
+	}
+	for _, key := range []int64{-1, 1 << 32} {
+		_, err := tab.Insert([]int64{key, 40, 200})
+		if err == nil {
+			t.Fatalf("Insert of key %d succeeded", key)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "people") || !strings.Contains(msg, strconv.FormatInt(key, 10)) {
+			t.Errorf("error %q does not name the table and the key", msg)
+		}
+		if row, ok := tab.LookupRow(key); ok {
+			t.Errorf("LookupRow(%d) = %d, true", key, row)
+		}
+	}
+	if tab.Rows() != 2 {
+		t.Fatalf("Rows = %d after rejected inserts, want 2", tab.Rows())
 	}
 }
 

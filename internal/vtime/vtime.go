@@ -52,11 +52,9 @@ func (c *Clock) Advance(d time.Duration) {
 		// Time jumps to the task deadline before the task runs, so that
 		// the task observes a consistent Now.
 		c.now = t.at
-		if t.period > 0 && !t.cancelled {
+		if t.period > 0 {
 			t.at += t.period
 			heap.Push(&c.tasks, t)
-		} else {
-			t.done = true
 		}
 		t.fn()
 	}
@@ -74,16 +72,6 @@ func (t Task) Cancel() {
 	if t.t != nil {
 		t.t.cancelled = true
 	}
-}
-
-// Deadline reports the instant the task will next fire. ok is false for a
-// cancelled task or a one-shot task that has already fired; for periodic
-// tasks the deadline advances after each firing.
-func (t Task) Deadline() (time.Duration, bool) {
-	if t.t == nil || t.t.cancelled || t.t.done {
-		return 0, false
-	}
-	return t.t.at, true
 }
 
 // NextDeadline reports the earliest deadline of any scheduled task, or
@@ -129,25 +117,12 @@ func (c *Clock) schedule(at time.Duration, period time.Duration, fn func()) Task
 	return Task{t: t}
 }
 
-// Pending reports the number of scheduled, non-cancelled tasks. Intended
-// for tests.
-func (c *Clock) Pending() int {
-	n := 0
-	for _, t := range c.tasks {
-		if !t.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
 type task struct {
 	at        time.Duration
 	period    time.Duration
 	fn        func()
 	seq       uint64
 	cancelled bool
-	done      bool
 }
 
 type taskHeap []*task

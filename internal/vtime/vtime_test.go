@@ -161,19 +161,6 @@ func TestSameDeadlineFiresInScheduleOrder(t *testing.T) {
 	}
 }
 
-func TestPendingCountsNonCancelled(t *testing.T) {
-	c := NewClock()
-	a := c.After(time.Second, func() {})
-	c.After(2*time.Second, func() {})
-	if got := c.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
-	}
-	a.Cancel()
-	if got := c.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
-	}
-}
-
 func TestZeroDelayAfterFiresImmediatelyOnAdvance(t *testing.T) {
 	c := NewClock()
 	fired := false

@@ -10,8 +10,8 @@
 #              §13), with stale-suppression detection
 #   tests      the short suite (the full figure sweep takes tens of
 #              minutes; heavy regenerators honor -short)
-#   fuzz       a fixed 10 s native-fuzzing budget on the replay-trace
-#              loader
+#   fuzz       a fixed 10 s native-fuzzing budget on each of the
+#              replay-trace and energy-profile loaders
 #   race      the byte-identical determinism test under the race
 #              detector, proving the core is goroutine-free at runtime,
 #              plus the parallel-vs-sequential sweep byte-identity test,
@@ -70,6 +70,12 @@ step "fuzz LoadReplayCSV (10 s)"
 # committed seed corpus (internal/loadprofile/testdata/fuzz) already ran
 # in the short suite above; a new crasher lands next to it and fails here.
 go test -run=NONE -fuzz=FuzzLoadReplayCSV -fuzztime=10s ./internal/loadprofile
+
+step "fuzz LoadProfile (10 s)"
+# The same budget over the saved energy-profile loader: it must return an
+# error or a profile whose evaluated entries carry finite, non-negative
+# measurements (seed corpus in internal/energy/testdata/fuzz).
+go test -run=NONE -fuzz=FuzzLoadProfile -fuzztime=10s ./internal/energy
 
 step "determinism under -race"
 go test -race -short -count=1 -run 'TestDeterminism' ./internal/sim
