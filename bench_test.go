@@ -143,7 +143,7 @@ func BenchmarkFigure13Spike(b *testing.B) {
 	skipInShort(b)
 	sequentially(b)
 	for i := 0; i < b.N; i++ {
-		r, err := bench.Figure13()
+		r, err := bench.Figure13(bench.Figure13Len, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func BenchmarkFigure14Twitter(b *testing.B) {
 	skipInShort(b)
 	sequentially(b)
 	for i := 0; i < b.N; i++ {
-		r, err := bench.Figure14()
+		r, err := bench.Figure14(bench.Figure14Len, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func BenchmarkFigure14Twitter(b *testing.B) {
 func BenchmarkFigure15And16Adaptation(b *testing.B) {
 	skipInShort(b)
 	for i := 0; i < b.N; i++ {
-		r, err := bench.FigureAdaptation()
+		r, err := bench.FigureAdaptation(bench.AdaptationLen/4, bench.AdaptationLen)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func BenchmarkTable1EnergySavings(b *testing.B) {
 	skipInShort(b)
 	sequentially(b)
 	for i := 0; i < b.N; i++ {
-		r, err := bench.Table1()
+		r, err := bench.Table1(bench.Table1Len)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func BenchmarkTable1Parallel(b *testing.B) {
 	skipInShort(b)
 	bench.SetParallelism(0)
 	for i := 0; i < b.N; i++ {
-		r, err := bench.Table1()
+		r, err := bench.Table1(bench.Table1Len)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,8 +221,8 @@ func BenchmarkFigure13And14Parallel(b *testing.B) {
 	bench.SetParallelism(0)
 	for i := 0; i < b.N; i++ {
 		results, err := bench.Sweep([]bench.Job[bench.LoadAdaptResult]{
-			bench.Figure13,
-			bench.Figure14,
+			func() (bench.LoadAdaptResult, error) { return bench.Figure13(bench.Figure13Len, nil) },
+			func() (bench.LoadAdaptResult, error) { return bench.Figure14(bench.Figure14Len, nil) },
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -183,7 +183,7 @@ func main() {
 	csvPrefix := flag.String("csv", "", "custom run: write per-governor trace CSVs to <prefix>-<governor>.csv")
 	capW := flag.Float64("cap", 0, "custom run: per-socket power cap in W for the ECL (0 = none)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for multi-run sweeps (<1 = GOMAXPROCS); results are identical at any setting")
-	reference := flag.Bool("reference", false, "take the per-quantum reference step path (no event scheduler, kernel cache, fast-forward or closed-form stretches); integer observables are identical, floats agree within 1e-9 relative, just slower (DESIGN.md §16)")
+	reference := flag.Bool("reference", false, "take the per-quantum reference step path (no sample-boundary loop, kernel cache, fast-forward or closed-form stretches); integer observables are identical, floats agree within 1e-9 relative, just slower (DESIGN.md §16)")
 	runLen := flag.Duration("len", 0, "override the experiment length for -fig 13/14/15 and -table 1 (0 = the figure's default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -205,7 +205,7 @@ func main() {
 	switch {
 	case *table == 1:
 		warnNoObs(oo)
-		r, err := bench.Table1Sized(orDefault(*runLen, 2*time.Minute))
+		r, err := bench.Table1(orDefault(*runLen, bench.Table1Len))
 		exitOn(err)
 		fmt.Println(r.Render())
 	case *fig == 11:
@@ -215,20 +215,20 @@ func main() {
 		fmt.Println(r.Render())
 	case *fig == 13:
 		ob := oo.observer()
-		r, err := bench.Figure13Observed(orDefault(*runLen, 3*time.Minute), ob)
+		r, err := bench.Figure13(orDefault(*runLen, bench.Figure13Len), ob)
 		exitOn(err)
 		fmt.Println(r.Render())
 		exitOn(oo.flush(ob))
 	case *fig == 14:
 		ob := oo.observer()
-		r, err := bench.Figure14Observed(orDefault(*runLen, 3*time.Minute), ob)
+		r, err := bench.Figure14(orDefault(*runLen, bench.Figure14Len), ob)
 		exitOn(err)
 		fmt.Println(r.Render())
 		exitOn(oo.flush(ob))
 	case *fig == 15, *fig == 16:
 		warnNoObs(oo)
-		d := orDefault(*runLen, 160*time.Second)
-		r, err := bench.FigureAdaptationSized(d/4, d)
+		d := orDefault(*runLen, bench.AdaptationLen)
+		r, err := bench.FigureAdaptation(d/4, d)
 		exitOn(err)
 		fmt.Println(r.Render())
 	case *wlName != "":

@@ -256,20 +256,26 @@ func loadAdapt(name string, wl func() workload.Workload, mkLoad func(capacity fl
 	return out, nil
 }
 
+// Default profile lengths of the end-to-end regenerators: the lengths
+// cmd/eclsim runs when -len is unset and the root benchmarks regenerate.
+const (
+	// Figure13Len and Figure14Len are 3 minutes, the paper's replay
+	// length of the compressed 2 h traces.
+	Figure13Len = 3 * time.Minute
+	Figure14Len = 3 * time.Minute
+	// AdaptationLen is the Figure 15/16 run; the workload switches at a
+	// quarter of it.
+	AdaptationLen = 160 * time.Second
+	// Table1Len keeps the 12-combination sweep tractable while
+	// representing every load phase.
+	Table1Len = 2 * time.Minute
+)
+
 // Figure13 reproduces the spike-profile experiment (kv non-indexed,
-// 100 ms latency limit, 3 minutes).
-func Figure13() (LoadAdaptResult, error) { return Figure13Sized(3 * time.Minute) }
-
-// Figure13Sized runs the spike experiment with a custom profile length
-// (tests use shorter runs).
-func Figure13Sized(d time.Duration) (LoadAdaptResult, error) {
-	return Figure13Observed(d, nil)
-}
-
-// Figure13Observed is Figure13Sized with an observer attached to the
-// ECL-1Hz run, so the figure's control decisions can be exported and
-// explained (cmd/eclsim -fig 13 -events/-explain).
-func Figure13Observed(d time.Duration, ob *obs.Observer) (LoadAdaptResult, error) {
+// 100 ms latency limit) over a profile of length d. When ob is non-nil it
+// observes the ECL-1Hz run, so the figure's control decisions can be
+// exported and explained (cmd/eclsim -fig 13 -events/-explain).
+func Figure13(d time.Duration, ob *obs.Observer) (LoadAdaptResult, error) {
 	return loadAdapt("spike",
 		func() workload.Workload { return workload.NewKV(false) },
 		func(capacity float64) loadprofile.Profile {
@@ -278,17 +284,8 @@ func Figure13Observed(d time.Duration, ob *obs.Observer) (LoadAdaptResult, error
 }
 
 // Figure14 reproduces the twitter-profile experiment (a compressed 2 h
-// trace replayed in 3 minutes).
-func Figure14() (LoadAdaptResult, error) { return Figure14Sized(3 * time.Minute) }
-
-// Figure14Sized runs the twitter experiment with a custom profile length.
-func Figure14Sized(d time.Duration) (LoadAdaptResult, error) {
-	return Figure14Observed(d, nil)
-}
-
-// Figure14Observed is Figure14Sized with an observer attached to the
-// ECL-1Hz run.
-func Figure14Observed(d time.Duration, ob *obs.Observer) (LoadAdaptResult, error) {
+// trace replayed over d), observing the ECL-1Hz run when ob is non-nil.
+func Figure14(d time.Duration, ob *obs.Observer) (LoadAdaptResult, error) {
 	return loadAdapt("twitter",
 		func() workload.Workload { return workload.NewKV(false) },
 		func(capacity float64) loadprofile.Profile {
@@ -341,17 +338,12 @@ type AdaptResult struct {
 }
 
 // FigureAdaptation reproduces the Figure 15/16 experiment: the indexed
-// key-value workload switches to the non-indexed one mid-run at 50 % load
-// under the three profile-maintenance strategies. The profiles are
-// established for the *old* workload, so the strategies differ in how
-// they cope with the stale profile.
-func FigureAdaptation() (AdaptResult, error) {
-	return FigureAdaptationSized(40*time.Second, 160*time.Second)
-}
-
-// FigureAdaptationSized runs the adaptation experiment with custom switch
-// point and total duration.
-func FigureAdaptationSized(switchAt, duration time.Duration) (AdaptResult, error) {
+// key-value workload switches to the non-indexed one at switchAt of a
+// run of length duration, at 50 % load, under the three
+// profile-maintenance strategies. The profiles are established for the
+// *old* workload, so the strategies differ in how they cope with the
+// stale profile.
+func FigureAdaptation(switchAt, duration time.Duration) (AdaptResult, error) {
 	out := AdaptResult{SwitchAt: switchAt, Duration: duration}
 	// The paper fixes the load at 50 %. The operative property of the
 	// setup is that the post-switch load is sustainable under a *fresh*
@@ -455,16 +447,12 @@ type Table1Result struct {
 }
 
 // Table1 measures the energy savings of the ECL for every workload and
-// load profile combination (2-minute profiles keep the 12-combination
-// sweep tractable while representing every load phase).
-func Table1() (Table1Result, error) { return Table1Sized(2 * time.Minute) }
-
-// Table1Sized runs the Table 1 sweep with a custom profile length. The
-// sweep is two orchestrated phases: first the per-workload capacity
-// probes (memoized, so reruns and other figures reuse them), then all
-// 12 combos × {baseline, ECL} = 24 independent seeded runs fan out
-// across the worker pool and merge back in row order.
-func Table1Sized(table1Duration time.Duration) (Table1Result, error) {
+// load profile combination over profiles of length d. The sweep is two
+// orchestrated phases: first the per-workload capacity probes (memoized,
+// so reruns and other figures reuse them), then all 12 combos ×
+// {baseline, ECL} = 24 independent seeded runs fan out across the worker
+// pool and merge back in row order.
+func Table1(d time.Duration) (Table1Result, error) {
 	var out Table1Result
 	wls := workload.All()
 	capJobs := make([]Job[float64], len(wls))
@@ -490,8 +478,8 @@ func Table1Sized(table1Duration time.Duration) (Table1Result, error) {
 			name string
 			load loadprofile.Profile
 		}{
-			{"spike", loadprofile.Spike{PeakQps: capacity * spikeOverloadFactor, Len: table1Duration}},
-			{"twitter", loadprofile.Twitter{BaseQps: capacity * twitterBaseFactor, Len: table1Duration}},
+			{"spike", loadprofile.Spike{PeakQps: capacity * spikeOverloadFactor, Len: d}},
+			{"twitter", loadprofile.Twitter{BaseQps: capacity * twitterBaseFactor, Len: d}},
 		} {
 			combos = append(combos, combo{workload: wl.Name(), profile: lp.name, capacity: capacity, load: lp.load})
 		}
@@ -537,7 +525,7 @@ func Table1Sized(table1Duration time.Duration) (Table1Result, error) {
 
 // Table1SingleRow computes one workload x load-profile cell of Table 1
 // strictly sequentially on the calling goroutine: the baseline run
-// followed by the ECL run, exactly as Table1Sized builds them, without
+// followed by the ECL run, exactly as Table1 builds them, without
 // sweep orchestration. It is the unit of work behind the step-path
 // benchmarks in the root bench_test.go. The capacity probe is memoized
 // process-wide (MeasureCapacity); benchmarks warm it before timing so

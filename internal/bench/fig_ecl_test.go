@@ -54,7 +54,7 @@ func TestFigure13Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end experiment")
 	}
-	r, err := Figure13Sized(80 * time.Second)
+	r, err := Figure13(80*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFigure14Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end experiment")
 	}
-	r, err := Figure14Sized(80 * time.Second)
+	r, err := Figure14(80*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFigureAdaptationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end experiment")
 	}
-	r, err := FigureAdaptationSized(30*time.Second, 120*time.Second)
+	r, err := FigureAdaptation(30*time.Second, 120*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation sweep")
 	}
-	r, err := Table1Sized(60 * time.Second)
+	r, err := Table1(60 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

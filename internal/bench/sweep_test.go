@@ -124,7 +124,7 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 	regenerate := func(workers int) capture {
 		SetParallelism(workers)
 		ob := obs.New(0)
-		r, err := Figure13Observed(4*time.Second, ob)
+		r, err := Figure13(4*time.Second, ob)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

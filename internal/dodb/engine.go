@@ -174,9 +174,7 @@ type Engine struct {
 	// Step's reused buffer of the current counts.
 	prevActive []int
 	stepActive []int
-	// noActive is the all-zero active count ObserveParked reports.
-	noActive []int
-	obsOn    bool
+	obsOn      bool
 
 	// Query tracing (nil tracer = disabled; see internal/obs/trace).
 	// asleepNS accumulates, per socket, virtual time during which the
@@ -334,10 +332,9 @@ func (e *Engine) CharacteristicsEpoch() uint64 {
 // queries in flight, no undelivered messages, no budget debt carried by
 // any worker, and every socket's last reported utilization zero. In this
 // state a Step with zero offered load has no effect beyond re-deriving the
-// same zeros and the worker observation — which the fast-forward paths
-// reproduce (IdleStretch, ObserveParked) — so it licenses the
-// simulation's quiescent fast paths whether or not an observer is
-// attached.
+// same zeros and the worker observation — which IdleStretch reproduces —
+// so it licenses the simulation's quiescent fast-forward whether or not
+// an observer is attached.
 func (e *Engine) Quiescent() bool {
 	if e.inFlightLen != 0 || e.router.PendingTotal() != 0 {
 		return false
@@ -403,7 +400,6 @@ func (e *Engine) SetObserver(ob *obs.Observer) {
 	}
 	e.prevActive = make([]int, e.topo.Sockets)
 	e.stepActive = make([]int, e.topo.Sockets)
-	e.noActive = make([]int, e.topo.Sockets)
 	e.obsOn = ob != nil
 	e.tracer = ob.Tracer()
 	e.deliverHook = nil
@@ -913,18 +909,6 @@ func (e *Engine) observeWorkers(now time.Duration, activeCount []int) {
 	}
 }
 
-// ObserveParked emits the worker observation a Step ending at now would
-// make with every socket's workers parked. The simulation's idle
-// macro-step skips Step entirely, so it calls this once at window entry:
-// a socket whose workers were still counted awake reports its sleep
-// transition at the same instant, with the same payload, as the skipped
-// Step would have.
-func (e *Engine) ObserveParked(now time.Duration) {
-	if e.obsOn {
-		e.observeWorkers(now, e.noActive)
-	}
-}
-
 // IdleStretch advances the engine's cumulative accounting by n
 // consecutive quanta of length dt in which the engine provably does
 // nothing; first is the `now` of the first quantum (quantum i of the
@@ -953,7 +937,7 @@ func (e *Engine) ObserveParked(now time.Duration) {
 //     and the step frame moves to the last quantum's;
 //   - utilization stays exactly zero (Step would recompute 0/budget).
 //
-// The discrete-event run loop calls this for every engine-quiescent
+// The simulation's run loop calls this for every engine-quiescent
 // stretch, and with n = 1 for each quantum it grinds inside one,
 // replacing Step's hub and budget scans.
 //

@@ -75,7 +75,7 @@ func TestCappedSelectionProperties(t *testing.T) {
 			}
 			power := 20 + 300*rng.Float64()
 			score := 1e9 * rng.Float64() * float64(1+e.Config.ActiveThreads())
-			if _, err := p.Update(e.Config, units.WattsOf(power), units.HertzOf(score), time.Duration(seed)); err != nil {
+			if _, err := p.Update(e.Config, units.WattsOf(power), units.HertzOf(score), time.Second); err != nil {
 				t.Fatal(err)
 			}
 		}

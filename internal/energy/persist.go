@@ -53,8 +53,8 @@ func (p *Profile) Save(w io.Writer) error {
 }
 
 // LoadProfile reads a profile saved by Save. Configurations are validated
-// against the topology, and an evaluated entry's power and score with the
-// check Profile.Update applies; its evaluation time must not be negative.
+// against the topology, and an evaluated entry's power, score and
+// evaluation time with the check Profile.Update applies.
 func LoadProfile(r io.Reader, topo hw.Topology) (*Profile, error) {
 	var in profileFile
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -77,11 +77,8 @@ func LoadProfile(r io.Reader, topo hw.Topology) (*Profile, error) {
 			continue
 		}
 		power, score := units.WattsOf(ef.PowerW), units.HertzOf(ef.Score)
-		if err := checkMeasurement(power, score); err != nil {
+		if err := checkMeasurement(power, score, time.Duration(ef.LastEvalNs)); err != nil {
 			return nil, fmt.Errorf("energy: entry %d: %w", i, err)
-		}
-		if ef.LastEvalNs < 0 {
-			return nil, fmt.Errorf("energy: entry %d: negative last_eval_ns %d", i, ef.LastEvalNs)
 		}
 		e := p.Lookup(cfgs[i])
 		if e == nil {

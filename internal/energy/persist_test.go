@@ -8,6 +8,7 @@ import (
 
 	"ecldb/internal/hw"
 	"ecldb/internal/perfmodel"
+	"ecldb/internal/units"
 )
 
 func TestProfileSaveLoadRoundTrip(t *testing.T) {
@@ -107,5 +108,40 @@ func TestLoadProfileRejectsNegativeMeasurements(t *testing.T) {
 				t.Errorf("error %q does not name the entry", err)
 			}
 		})
+	}
+}
+
+// TestUpdateRejectsNegativeTime checks that the runtime cannot build a
+// profile LoadProfile refuses: Update rejects a measurement taken before
+// instant 0 with an error naming the time and leaves the entry as it
+// was, and a profile Update built at valid instants survives Save and
+// LoadProfile unchanged.
+func TestUpdateRejectsNegativeTime(t *testing.T) {
+	p := NewProfile(topo, mustGenerate(t, DefaultGeneratorParams()))
+	cfg := hw.AllMax(topo)
+	if _, err := p.Update(cfg, 50, 1e9, -5); err == nil || !strings.Contains(err.Error(), "last_eval_ns=-5") {
+		t.Fatalf("Update at -5ns: err = %v, want one naming last_eval_ns=-5", err)
+	}
+	if p.Lookup(cfg).Evaluated {
+		t.Fatal("rejected measurement marked the entry evaluated")
+	}
+	for i, e := range p.Entries() {
+		if _, err := p.Update(e.Config, units.WattsOf(float64(10+i)), units.HertzOf(float64(1e6*(i+1))), time.Duration(i)*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadProfile(&buf, topo)
+	if err != nil {
+		t.Fatalf("LoadProfile refused a profile Update built: %v", err)
+	}
+	for i, e := range p.Entries() {
+		g := got.Entries()[i]
+		if g.PowerW != e.PowerW || g.Score != e.Score || g.Evaluated != e.Evaluated || g.LastEval != e.LastEval {
+			t.Fatalf("entry %d changed in the round trip: %+v vs %+v", i, g, e)
+		}
 	}
 }

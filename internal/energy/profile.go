@@ -121,7 +121,7 @@ func (p *Profile) Update(cfg hw.Configuration, powerW units.Watt, score units.He
 	if e == nil {
 		return 0, fmt.Errorf("energy: configuration %s not in profile", cfg)
 	}
-	if err := checkMeasurement(powerW, score); err != nil {
+	if err := checkMeasurement(powerW, score, now); err != nil {
 		return 0, fmt.Errorf("energy: %w", err)
 	}
 	if !e.Evaluated {
@@ -149,11 +149,15 @@ func (p *Profile) Update(cfg hw.Configuration, powerW units.Watt, score units.He
 }
 
 // checkMeasurement rejects a measurement no socket produces: a negative
-// power or score. Update and LoadProfile share it, so a saved profile
-// cannot carry what the runtime refuses.
-func checkMeasurement(powerW units.Watt, score units.Hertz) error {
+// power or score, or one taken before the clock's instant 0. Update and
+// LoadProfile share it, so a saved profile cannot carry what the runtime
+// refuses.
+func checkMeasurement(powerW units.Watt, score units.Hertz, at time.Duration) error {
 	if powerW < 0 || score < 0 {
 		return fmt.Errorf("negative measurement power=%g score=%g", powerW, score)
+	}
+	if at < 0 {
+		return fmt.Errorf("negative evaluation time last_eval_ns=%d", int64(at))
 	}
 	return nil
 }

@@ -337,22 +337,6 @@ func (m *Machine) effectiveCached(socket int) *Configuration {
 	return c
 }
 
-// NextSettle reports the earliest future instant at which a pending
-// configuration change settles, or ok=false when none is pending. A
-// pending change whose settle instant has already passed is not reported:
-// it is already visible through Effective (and through the StateEpoch due
-// bit), so it cannot invalidate a window that starts now.
-func (m *Machine) NextSettle() (time.Duration, bool) {
-	best, ok := time.Duration(0), false
-	for s := range m.pending {
-		p := m.pending[s]
-		if p.valid && p.at > m.now && (!ok || p.at < best) {
-			best, ok = p.at, true
-		}
-	}
-	return best, ok
-}
-
 // UncoreHalted reports whether the uncore clocks of the machine are
 // halted. A socket's uncore can halt only when every socket of the machine
 // has no active core (Section 2.2, inter-socket dependency), because any

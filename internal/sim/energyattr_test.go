@@ -16,7 +16,7 @@ import (
 
 // energyAttrOptions is the shared scenario of the attribution tests: an
 // ECL run over a stepped profile with idle plateaus (so RTI windows and
-// macro-steps engage), query tracing attached, and — when withMeter —
+// quiescent stretches engage), query tracing attached, and — when withMeter —
 // the attribution meter riding along.
 func energyAttrOptions(withMeter bool) Options {
 	ob := obs.New(0)

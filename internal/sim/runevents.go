@@ -1,29 +1,27 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"ecldb/internal/perfmodel"
 	"ecldb/internal/units"
 )
 
-// This file holds the discrete-event run loop, the production loop:
-// instead of inspecting every 1 ms quantum for boundaries (sample due?
-// switch due? idle window ahead?), the loop pops the next scheduled event
-// from a deterministic priority queue and jumps the simulation to it.
-// Quanta between events fall into two classes:
+// This file holds the production run loop. Instead of inspecting every
+// 1 ms quantum for a boundary (sample due? switch due?), it steps from
+// one trace-sample boundary to the next: the only instants the loop must
+// stop at are the samples, the scheduled workload switch and the end of
+// the run. Quanta in between fall into two classes:
 //
 //   - Active quanta (queries in flight, load offered, or workers carrying
 //     debt) run the full per-quantum body — identical, statement for
 //     statement, to the reference walk's (runQuanta).
-//   - Quiescent stretches (engine empty, zero offered load) fast-forward:
-//     idle sockets skip the engine entirely (the macro-step), and
-//     active-but-workless sockets run Engine.IdleStretch plus a constant
-//     activity set, replicating the full path's per-quantum arithmetic
-//     without its hub and budget scans. Where the machine proves a
-//     stretch constant-state it integrates it in closed form
-//     (hw.Machine.StepStretch).
+//   - Quiescent stretches (engine empty, zero offered load) fast-forward
+//     through stretchStep: Engine.IdleStretch plus a constant activity
+//     set (all zero on a socket with no active thread), replicating the
+//     full path's per-quantum arithmetic without its hub and budget
+//     scans. Where the machine proves a stretch constant-state it
+//     integrates it in closed form (hw.Machine.StepStretch).
 //
 // Closed-form stretches regroup float sums, so through quiescent windows
 // results agree with the reference walk within 1e-9 relative (every
@@ -37,74 +35,60 @@ func gridCeil(x, q time.Duration) time.Duration {
 	return (x + q - 1) / q * q
 }
 
-// runEvents executes the load profile on the event scheduler. It must
-// record, count, and integrate exactly what runQuanta would.
+// runEvents executes the load profile from sample boundary to sample
+// boundary. It must record, count, and integrate exactly what runQuanta
+// would.
 func (s *Sim) runEvents(dur time.Duration) error {
 	q := s.opts.Quantum
 	hook := s.opts.Hook
-	eq := &s.events
-	switched := false
-
-	// The spine: the end of the run, the first trace-sample boundary
-	// (each firing schedules its successor), and the workload switch.
-	eq.push(dur, evEnd)
-	eq.push(0, evSample)
+	switchAt := time.Duration(-1) // the switch instant not yet reached
 	if s.opts.SwitchAt > 0 && s.opts.SwitchTo != nil {
-		eq.push(s.opts.SwitchAt, evSwitch)
+		switchAt = s.opts.SwitchAt
 	}
+	switched := false
 
 	t := time.Duration(0) // profile time of the next unstepped quantum
 	lastSampled := time.Duration(-1)
-	for {
-		at, kind, ok := eq.pop()
-		if !ok {
-			return fmt.Errorf("sim: event queue drained before the end event")
-		}
-		switch kind {
-		case evEnd:
-			return s.advanceTo(&t, dur, &switched)
-		case evSwitch:
+	for at := time.Duration(0); ; at += sampleEvery {
+		if switchAt >= 0 && switchAt <= at {
 			// Re-synchronize at the switch instant: advancing to the
 			// switch's grid point makes the next advanceTo iteration
 			// perform the switch at its top, exactly where the quantum
 			// loop checks it. (Stretches are bounded by SwitchAt, so the
 			// grind top is guaranteed to see it.)
-			T := gridCeil(at, q)
+			T := gridCeil(switchAt, q)
 			if T > dur {
 				T = dur
 			}
 			if err := s.advanceTo(&t, T, &switched); err != nil {
 				return err
 			}
-		case evSample:
-			// The quantum loop samples at the bottom of the first
-			// iteration T >= boundary, after stepping T's quantum.
-			T := gridCeil(at, q)
-			if T <= lastSampled {
-				// Sub-quantum sample periods: at most one sample fires
-				// per iteration, so a boundary already covered by the
-				// last sampled quantum fires at the next one.
-				T = lastSampled + q
-			}
-			if T >= dur {
-				// Never reached inside the loop; the final sample(dur)
-				// in Run covers the tail, as in the quantum loop.
-				continue
-			}
-			if err := s.advanceTo(&t, T+q, &switched); err != nil {
-				return err
-			}
-			s.sample(T)
-			lastSampled = T
-			if hook != nil {
-				hook.OnSample(s.clock.Now())
-			}
-			eq.push(at+sampleEvery, evSample)
-		case evAdmission:
-			// Pushed by the stretch planner when it discovers the next
-			// nonzero-load instant; by the time it pops, advanceTo has
-			// already ground through it. It exists so the queue remains
-			// the arbiter of every scheduled occurrence.
+			switchAt = -1
+		}
+		if at >= dur {
+			return s.advanceTo(&t, dur, &switched)
+		}
+		// The quantum loop samples at the bottom of the first iteration
+		// T >= boundary, after stepping T's quantum.
+		T := gridCeil(at, q)
+		if T <= lastSampled {
+			// Quanta longer than the sample period: at most one sample
+			// fires per iteration, so a boundary already covered by the
+			// last sampled quantum fires at the next one.
+			T = lastSampled + q
+		}
+		if T >= dur {
+			// Never reached inside the loop; the final sample(dur) in
+			// Run covers the tail, as in the quantum loop.
+			continue
+		}
+		if err := s.advanceTo(&t, T+q, &switched); err != nil {
+			return err
+		}
+		s.sample(T)
+		lastSampled = T
+		if hook != nil {
+			hook.OnSample(s.clock.Now())
 		}
 	}
 }
@@ -123,14 +107,8 @@ func (s *Sim) advanceTo(t *time.Duration, target time.Duration, switched *bool) 
 			}
 			*switched = true
 		}
-		if k, idle := s.stretchQuantaFrom(*t, target, *switched); k > 1 {
-			if idle {
-				s.macroStep(k)
-				*t += time.Duration(k) * q
-			} else {
-				done := s.stretchStep(k)
-				*t += time.Duration(done) * q
-			}
+		if k := s.stretchQuantaFrom(*t, target, *switched); k > 1 {
+			*t += time.Duration(s.stretchStep(k)) * q
 			continue
 		}
 		now := s.clock.Now()
@@ -145,22 +123,17 @@ func (s *Sim) advanceTo(t *time.Duration, target time.Duration, switched *bool) 
 
 // stretchQuantaFrom plans a quiescent fast-forward from grid point t: it
 // returns how many consecutive quanta are provably workless (engine
-// quiescent, zero offered load throughout) and whether every socket is
-// also configured idle (licensing the engine-skipping macro-step instead
-// of the active-socket stretchStep). 0 or 1 means "grind". The window is
-// licensed only when every quantum it replaces would provably do nothing
-// the fast-forward does not reproduce: a pending workload switch caps the
-// span; a clock task deadline D may mutate any state, so the last quantum
-// may at most end at D (a task exactly at the end fires with the machine
-// in the identical state); and — for the idle macro only, where no
-// per-quantum epoch check runs — a pending settle at instant A changes
-// the configuration read at quantum starts, so quantum starts stay before
-// A. The active stretch needs no settle bound: stretchStep re-checks the
-// configuration epochs after every quantum and bails out the moment one
-// moves.
-func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bool) {
+// quiescent, zero offered load throughout); 0 or 1 means "grind". The
+// window is licensed only when every quantum it replaces would provably
+// do nothing the fast-forward does not reproduce: a pending workload
+// switch caps the span, and a clock task deadline D may mutate any
+// state, so the last quantum may at most end at D (a task exactly at the
+// end fires with the machine in the identical state). Pending settles
+// need no bound: stretchStep re-checks the configuration epochs after
+// every quantum and bails out the moment one moves.
+func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) int {
 	if !s.engine.Quiescent() {
-		return 0, false
+		return 0
 	}
 	q := s.opts.Quantum
 	span := target - t
@@ -170,47 +143,30 @@ func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) (int, bo
 		}
 	}
 	if span < 2*q {
-		return 0, false
+		return 0
 	}
 	k := int((span + q - 1) / q)
-	now := s.clock.Now()
 	if d, ok := s.clock.NextDeadline(); ok {
-		if kd := int((d - now) / q); kd < k {
+		if kd := int((d - s.clock.Now()) / q); kd < k {
 			k = kd
 		}
 	}
-	// No early exit: the scan refreshes every socket's kernel, which the
-	// active stretch replays.
-	idle := true
-	for sock := 0; sock < s.topo.Sockets; sock++ {
-		if !s.socketIdle(sock) {
-			idle = false
-		}
+	// Refresh every socket's kernel, which the stretch replays.
+	if s.kernels == nil {
+		s.initKernels()
 	}
-	if idle {
-		if a, ok := s.machine.NextSettle(); ok {
-			if ka := int((a - now + q - 1) / q); ka < k {
-				k = ka
-			}
-		}
+	for sock := range s.kernels {
+		s.kernelFor(sock)
 	}
-	if k < 2 {
-		return 0, false
-	}
-	// Admission discovery: scan the load profile along the quantum grid
-	// for the first nonzero offer. Finding one inside the window turns it
-	// into a scheduled admission event and caps the stretch before it.
+	// Stop before the first quantum the load profile offers load in.
 	n := 0
 	for n < k && s.opts.Load.QPS(t+time.Duration(n)*q) == 0 {
 		n++
 	}
-	if n < k {
-		s.events.push(t+time.Duration(n)*q, evAdmission)
-	}
 	if n < 2 {
-		return 0, false
+		return 0
 	}
-	return n, idle
+	return n
 }
 
 // kernelsFresh reports whether every socket's step kernel is still valid
@@ -235,9 +191,10 @@ func (s *Sim) initStretch() {
 }
 
 // stretchStep fast-forwards up to k quanta through an engine-quiescent
-// window with active sockets: per quantum it runs Engine.IdleStretch (the
-// bookkeeping Step degenerates to), steps the machine under the constant
-// spin-only activity the full path would compute, and advances the clock.
+// window: per quantum it runs Engine.IdleStretch (the bookkeeping Step
+// degenerates to), steps the machine under the constant spin-only
+// activity the full path would compute (all zero on a socket with no
+// active thread), and advances the clock.
 // It bails out early when any configuration or characteristics epoch
 // moves (UFS decay, settle commits, throttle transitions — anything that
 // would change the next quantum's activity), returning how many quanta it
@@ -255,6 +212,7 @@ func (s *Sim) stretchStep(k int) int {
 	q := s.opts.Quantum
 	qs := q.Seconds()
 	n := s.topo.ThreadsPerSocket()
+	awake := false
 	for sock := range s.kernels {
 		kn := &s.kernels[sock]
 		a := &s.stretchActs[sock]
@@ -295,6 +253,9 @@ func (s *Sim) stretchStep(k int) int {
 		}
 		s.stretchEligible[sock] = elig
 		s.stretchActive[sock] = nActive
+		if nActive > 0 {
+			awake = true
+		}
 	}
 	done := 0
 	for done < k {
@@ -339,6 +300,10 @@ func (s *Sim) stretchStep(k int) int {
 			}
 		}
 	}
-	s.stretchWindows++
+	if awake {
+		s.awakeWindows++
+	} else {
+		s.idleWindows++
+	}
 	return done
 }

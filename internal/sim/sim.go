@@ -89,8 +89,9 @@ type Options struct {
 	// a run's behavior or its determinism.
 	Obs *obs.Observer
 	// Reference runs the plain per-quantum walk the production loop is
-	// proved against (TestStepPathsByteIdentical): no event scheduler,
-	// kernel cache, quiescent fast-forward or closed-form integration.
+	// proved against (TestStepPathsByteIdentical): no sample-boundary
+	// loop, kernel cache, quiescent fast-forward or closed-form
+	// integration.
 	// Integer observables are identical; floats agree within 1e-9
 	// relative, bit for bit while no fast-forward engages (DESIGN.md §16).
 	Reference bool
@@ -197,29 +198,25 @@ type Sim struct {
 	kernels    []stepKernel
 	kernActive [][]bool
 
-	// idleActs is the all-zero activity used by the quiescent macro-step
-	// fast path; synActs is the reused buffer of advanceSynthetic.
-	idleActs []hw.SocketActivity
-	synActs  []hw.SocketActivity
+	// synActs is the reused buffer of advanceSynthetic.
+	synActs []hw.SocketActivity
 
-	// Fast-path accounting (test introspection): idle macro windows, and
-	// the quanta the machine integrated in closed form.
-	macroWindows int64
+	// Fast-path accounting (test introspection): quiescent stretches with
+	// every socket idle and with some socket awake, and the quanta the
+	// machine integrated in closed form.
+	idleWindows  int64
+	awakeWindows int64
 	batchQuanta  int64
 
 	// Reused per-sample power buffers (Machine.LastPowerInto).
 	bufPkgW  []units.Watt
 	bufDramW []units.Watt
 
-	// Discrete-event run loop state: the event queue, the active-stretch
-	// buffers (constant per-quantum activity, per-socket eligible worker
-	// and active worker counts), and stretch accounting (test
-	// introspection).
-	events          eventQueue
+	// Quiescent stretch buffers: the constant per-quantum activity and
+	// the per-socket eligible and active worker counts.
 	stretchActs     []hw.SocketActivity
 	stretchEligible []int
 	stretchActive   []int
-	stretchWindows  int64
 
 	// Sampling state: power samples are averages over the sampling
 	// window (instantaneous samples alias with RTI switching).
@@ -793,8 +790,8 @@ func (s *Sim) Run() (*Result, error) {
 
 // runQuanta is the reference run loop (Options.Reference): a plain walk
 // over every quantum that checks each iteration for the workload switch
-// and the trace sample and steps the full stack. The discrete-event loop
-// in runevents.go is the production loop proved against it.
+// and the trace sample and steps the full stack. The sample-boundary
+// loop in runevents.go is the production loop proved against it.
 func (s *Sim) runQuanta(dur time.Duration) error {
 	q := s.opts.Quantum
 	nextSample := time.Duration(0)
@@ -822,52 +819,6 @@ func (s *Sim) runQuanta(dur time.Duration) error {
 		}
 	}
 	return nil
-}
-
-// socketIdle reports whether the socket's effective configuration is the
-// idle one (no active threads).
-func (s *Sim) socketIdle(sock int) bool {
-	if s.kernels == nil {
-		s.initKernels()
-	}
-	return s.kernelFor(sock).idle
-}
-
-// macroStep advances machine and clock through k quanta of machine-wide
-// idle with zero activity, skipping the per-quantum sim work (load offer,
-// engine step, kernel evaluation) that is a no-op in this state. The
-// machine integrates the whole window in closed form
-// (hw.Machine.StepStretch, one P·(n·q) term per domain per socket); when
-// a stretch guard bails — UFS decay still drifting, turbo budget
-// recharging, a pending settle — it falls back to per-quantum integration
-// with the reference float grouping, grinding one quantum before retrying
-// the batch so drift resolves at quantum granularity.
-func (s *Sim) macroStep(k int) {
-	if s.idleActs == nil {
-		s.idleActs = newZeroActs(s.topo)
-	}
-	q := s.opts.Quantum
-	// The window's first quantum is where a full Step would observe the
-	// workers parking; emit that observation with Step's payload.
-	s.engine.ObserveParked(s.clock.Now() + q)
-	done := 0
-	for done < k {
-		if n := s.machine.StepStretch(k-done, q, s.idleActs); n > 0 {
-			span := time.Duration(n) * q
-			s.accrueIdleBaseline(span)
-			s.clock.Advance(span)
-			s.settleIdleAttr(span)
-			done += n
-			s.batchQuanta += int64(n)
-			continue
-		}
-		s.machine.Step(q, s.idleActs)
-		s.accrueIdleBaseline(q)
-		s.clock.Advance(q)
-		s.settleIdleAttr(q)
-		done++
-	}
-	s.macroWindows++
 }
 
 // accrueStepAttr opens the attribution of one per-quantum step, after
@@ -930,24 +881,11 @@ func (s *Sim) accrueIdleBaseline(span time.Duration) {
 	}
 }
 
-// settleIdleAttr closes the attribution span of one machine-wide idle
-// advance (the quiescent macro-step): no active threads, no query weight,
-// no loop overhead — everything not claimed by a control window (an RTI
-// sleep slice, a settling transition) lands in the residual.
-func (s *Sim) settleIdleAttr(span time.Duration) {
-	if !s.eattr.Enabled() {
-		return
-	}
-	end := s.clock.Now()
-	for sock := 0; sock < s.topo.Sockets; sock++ {
-		s.eattr.Settle(sock, end-span, end, 0, 0, 0)
-	}
-}
-
-// settleStretchAttr closes the attribution span of an active-but-workless
-// stretch (engine quiescent, workers spinning): query weight is provably
-// zero, so the span splits between the controller's loop overhead, any
-// control windows, and the spin residual.
+// settleStretchAttr closes the attribution span of a quiescent stretch
+// (engine empty, workers spinning or parked): query weight is provably
+// zero, so the span splits between the controller's loop overhead on
+// sockets with active threads, any control windows (an RTI sleep slice,
+// a settling transition), and the residual.
 func (s *Sim) settleStretchAttr(span time.Duration) {
 	if !s.eattr.Enabled() {
 		return

@@ -30,11 +30,11 @@ func allSinks() *obs.Observer {
 
 // stepEquivOptions builds the idle-heavy scenario of the production-vs-
 // reference proof: an ECL run over a stepped profile whose zero plateaus
-// give the quiescent fast paths (idle macro-steps, active-but-workless
-// stretches, closed-form integration) real windows to claim, with every
-// observability sink attached so all exports enter the comparison.
-// Macro windows require quiescence, so no traced query span can overlap
-// one.
+// give the quiescent fast-forward (stretches with every socket idle and
+// with workers spinning, closed-form integration) real windows to claim,
+// with every observability sink attached so all exports enter the
+// comparison. Stretches require quiescence, so no traced query span can
+// overlap one.
 func stepEquivOptions(reference bool) Options {
 	return Options{
 		Workload: workload.NewKV(false),
@@ -51,14 +51,14 @@ func stepEquivOptions(reference bool) Options {
 }
 
 // TestStepPathsByteIdentical proves the production step path (the
-// discrete-event loop, the epoch-keyed kernel cache, quiescent
+// sample-boundary loop, the epoch-keyed kernel cache, quiescent
 // fast-forward, and closed-form stretch integration) against the
 // per-quantum reference walk (Options.Reference) in two parts.
 // scripts/check.sh runs it under the race detector.
 //
 //	busy: on a profile that never quiesces no fast-forward can engage,
 //	      so the two paths must digest bit for bit over the full
-//	      observable surface (digestRun): the event loop and the kernel
+//	      observable surface (digestRun): the run loop and the kernel
 //	      cache are exact.
 //	idle: on the idle-heavy stepped profile every fast path engages in
 //	      production and none in the reference. Closed-form stretches
@@ -79,9 +79,9 @@ func TestStepPathsByteIdentical(t *testing.T) {
 			name string
 			s    *Sim
 		}{{"production", ps}, {"reference", rs}} {
-			if r.s.macroWindows != 0 || r.s.stretchWindows != 0 || r.s.batchQuanta != 0 {
-				t.Errorf("%s: fast-forward engaged on a busy profile (macro %d, stretch %d, batched quanta %d)",
-					r.name, r.s.macroWindows, r.s.stretchWindows, r.s.batchQuanta)
+			if r.s.idleWindows != 0 || r.s.awakeWindows != 0 || r.s.batchQuanta != 0 {
+				t.Errorf("%s: fast-forward engaged on a busy profile (idle %d, awake %d, batched quanta %d)",
+					r.name, r.s.idleWindows, r.s.awakeWindows, r.s.batchQuanta)
 			}
 		}
 		if prod != ref {
@@ -95,13 +95,13 @@ func TestStepPathsByteIdentical(t *testing.T) {
 		prodOpts, refOpts := stepEquivOptions(false), stepEquivOptions(true)
 		_, ps, prod := digestRun(t, prodOpts)
 		_, rs, ref := digestRun(t, refOpts)
-		if ps.macroWindows == 0 || ps.stretchWindows == 0 || ps.batchQuanta == 0 {
-			t.Errorf("production left a fast path unexercised (macro %d, stretch %d, batched quanta %d); the comparison is vacuous",
-				ps.macroWindows, ps.stretchWindows, ps.batchQuanta)
+		if ps.idleWindows == 0 || ps.awakeWindows == 0 || ps.batchQuanta == 0 {
+			t.Errorf("production left a fast path unexercised (idle %d, awake %d, batched quanta %d); the comparison is vacuous",
+				ps.idleWindows, ps.awakeWindows, ps.batchQuanta)
 		}
-		if rs.macroWindows != 0 || rs.stretchWindows != 0 || rs.batchQuanta != 0 {
-			t.Errorf("reference engaged a fast path (macro %d, stretch %d, batched quanta %d)",
-				rs.macroWindows, rs.stretchWindows, rs.batchQuanta)
+		if rs.idleWindows != 0 || rs.awakeWindows != 0 || rs.batchQuanta != 0 {
+			t.Errorf("reference engaged a fast path (idle %d, awake %d, batched quanta %d)",
+				rs.idleWindows, rs.awakeWindows, rs.batchQuanta)
 		}
 		assertSemanticallyEqual(t, "production", ref, prod)
 		refDir, prodDir := filepath.Join(t.TempDir(), "reference"), filepath.Join(t.TempDir(), "production")
@@ -367,6 +367,85 @@ func TestSimStepSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestAdvanceToSteadyStateAllocatesNothing locks the run loop's quiescent
+// fast-forward at zero allocations once warm: advancing through a
+// zero-load window, planning included, must not allocate, both with
+// every socket parked and with every socket awake and spinning.
+//
+//	ecl-race-to-idle: an ECL run races to idle on zero load until a
+//	                  sleep slice parks every socket; the controller is
+//	                  then stopped so the windows measure the loop, not
+//	                  the controller's own per-segment bookkeeping.
+//	baseline-awake:   the baseline governor keeps every thread at the
+//	                  all-max configuration.
+func TestAdvanceToSteadyStateAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		governor Governor
+		idle     bool // every stretch runs with every socket idle
+	}{
+		{"ecl-race-to-idle", GovernorECL, true},
+		{"baseline-awake", GovernorBaseline, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Options{
+				Workload: workload.NewKV(true),
+				Load:     loadprofile.Constant{Qps: 0, Len: time.Hour},
+				Governor: tc.governor,
+				Prewarm:  true,
+				Seed:     5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Prewarm()
+			pt, switched := time.Duration(0), false
+			advance := func(d time.Duration) {
+				if err := s.advanceTo(&pt, pt+d, &switched); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.controller != nil {
+				s.controller.Start()
+				advance(3 * time.Second) // past discovery into race-to-idle
+				for !s.allSocketsParked() {
+					if pt > time.Minute {
+						t.Fatal("race-to-idle never parked every socket")
+					}
+					advance(s.opts.Quantum)
+				}
+				s.controller.Stop()
+			} else {
+				s.baseline.Start()
+			}
+			for i := 0; i < 50; i++ { // settle the configuration and outlast the EET delay
+				advance(100 * time.Millisecond)
+			}
+			idle0, awake0 := s.idleWindows, s.awakeWindows
+			allocs := testing.AllocsPerRun(100, func() { advance(100 * time.Millisecond) })
+			if allocs != 0 {
+				t.Errorf("warm advanceTo allocates %.1f allocs/op, want 0", allocs)
+			}
+			idle, awake := s.idleWindows-idle0, s.awakeWindows-awake0
+			if tc.idle && (idle == 0 || awake != 0) || !tc.idle && (awake == 0 || idle != 0) {
+				t.Errorf("measured %d stretches with every socket idle and %d with sockets awake; want only the first kind: %v",
+					idle, awake, tc.idle)
+			}
+		})
+	}
+}
+
+// allSocketsParked reports whether every socket runs the idle
+// configuration with no change pending.
+func (s *Sim) allSocketsParked() bool {
+	for sock := 0; sock < s.topo.Sockets; sock++ {
+		if !s.machine.Effective(sock).Idle() || !s.machine.Requested(sock).Idle() {
+			return false
+		}
+	}
+	return true
+}
+
 // benchStepKernel measures one live step (load offer + full stack quantum)
 // on the production step (the epoch-keyed kernel cache) or the reference
 // step; the pair quantifies what the memoization buys on the per-quantum
@@ -405,9 +484,9 @@ func BenchmarkStepKernel(b *testing.B)          { benchStepKernel(b, false) }
 func BenchmarkStepKernelReference(b *testing.B) { benchStepKernel(b, true) }
 
 // benchIdleHeavy runs a full 60 s ECL simulation whose load profile is
-// two short bursts around a long zero plateau — the shape where the
-// discrete-event scheduler's quiescent stretches (idle macro-steps and
-// active-but-workless IdleStretch windows) dominate the walk. The
+// two short bursts around a long zero plateau — the shape where the run
+// loop's quiescent stretches (every socket idle, or workers spinning
+// through IdleStretch windows) dominate the walk. The
 // Reference variant runs the identical scenario on the per-quantum
 // reference walk, so the pair reads what the production path's
 // fast-forward buys directly off a BENCH_*.json snapshot. No observer is

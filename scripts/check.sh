@@ -11,7 +11,8 @@
 #   tests      the short suite (the full figure sweep takes tens of
 #              minutes; heavy regenerators honor -short)
 #   fuzz       a fixed 10 s native-fuzzing budget on each of the
-#              replay-trace and energy-profile loaders
+#              replay-trace and energy-profile loaders and the
+#              semantic comparator
 #   race      the byte-identical determinism test under the race
 #              detector, proving the core is goroutine-free at runtime,
 #              plus the parallel-vs-sequential sweep byte-identity test,
@@ -77,11 +78,18 @@ step "fuzz LoadProfile (10 s)"
 # measurements (seed corpus in internal/energy/testdata/fuzz).
 go test -run=NONE -fuzz=FuzzLoadProfile -fuzztime=10s ./internal/energy
 
+step "fuzz relock comparator (10 s)"
+# The same budget over the semantic comparator behind cmd/semdiff and the
+# step-path proof below: no pair of inputs may panic it, and any input
+# compared with itself must report OK (seed corpus in
+# internal/relock/testdata/fuzz).
+go test -run=NONE -fuzz=FuzzCompareBytes -fuzztime=10s ./internal/relock
+
 step "determinism under -race"
 go test -race -short -count=1 -run 'TestDeterminism' ./internal/sim
 
 step "step-path byte-identity under -race"
-# The production step path (event loop, kernel cache, quiescent
+# The production step path (sample-boundary loop, kernel cache, quiescent
 # fast-forward, closed-form stretches) against the per-quantum reference
 # walk: bit-identical digests on a profile that never quiesces, and on the
 # idle-heavy profile every export (series CSV, event log, metrics, explain
