@@ -12,7 +12,6 @@ import (
 	"ecldb/internal/perfmodel"
 	"ecldb/internal/sim"
 	"ecldb/internal/trace"
-	"ecldb/internal/vtime"
 	"ecldb/internal/workload"
 )
 
@@ -141,7 +140,6 @@ type Fig12Result struct {
 func Figure12() Fig12Result {
 	topo := hw.HaswellEP()
 	m := hw.NewMachine(topo, hw.DefaultPowerParams(), 12)
-	clock := vtime.NewClock()
 	ch := perfmodel.ComputeBound()
 	advance := func(dt time.Duration) {
 		const q = time.Millisecond
@@ -164,7 +162,6 @@ func Figure12() Fig12Result {
 				}
 			}
 			m.Step(step, acts)
-			clock.Advance(step)
 			dt -= step
 		}
 	}

@@ -63,6 +63,8 @@ func (o Options) withDefaults() Options {
 // Controller wires the hierarchy: one socket-level ECL per processor plus
 // the system-level ECL, ticking on a shared phase so the race-to-idle
 // grids of all sockets align (deepest sleep needs machine-wide idle).
+// Once started it is its clock's agenda (vtime.Agenda): its ticks and the
+// sockets' planned segment boundaries are the clock's only deadlines.
 type Controller struct {
 	machine *hw.Machine
 	clock   *vtime.Clock
@@ -70,8 +72,9 @@ type Controller struct {
 	sockets []*SocketECL
 	stats   RuntimeStats
 	opts    Options
-	tasks   []vtime.Task
-	started bool
+	// ticks holds the next tick instant while running: one shared
+	// instant, or one per socket under DesyncRTI (empty when stopped).
+	ticks []time.Duration
 
 	// Observability (nil when disabled; see internal/obs).
 	obsLog        *obs.Log
@@ -134,53 +137,82 @@ func (c *Controller) broadcast(ttv time.Duration) {
 // performance, automatic uncore scaling off — the paper's Section 2.3
 // recommendation) and begins ticking.
 func (c *Controller) Start() {
-	if c.started {
+	if len(c.ticks) > 0 {
 		return
 	}
-	c.started = true
 	c.machine.SetEPB(hw.EPBPerformance)
 	c.machine.SetAutoUFS(false)
+	n := 1
 	if c.opts.DesyncRTI && len(c.sockets) > 1 {
 		// Ablation: each socket ticks on its own phase-shifted grid, with
 		// a fresh time-to-violation estimate per tick.
-		phase := c.opts.Interval / time.Duration(len(c.sockets))
-		for i := range c.sockets {
-			s, sock := i, c.sockets[i]
-			c.tasks = append(c.tasks, c.clock.EveryAt(
-				c.opts.Interval+time.Duration(s)*phase, c.opts.Interval, func() {
-					ttv := c.system.Tick(c.clock.Now())
-					c.broadcast(ttv)
-					sock.Tick(c.stats.Utilization(s), ttv)
-				}))
-		}
-		return
+		n = len(c.sockets)
 	}
-	c.tasks = append(c.tasks, c.clock.Every(c.opts.Interval, c.tick))
+	phase := c.opts.Interval / time.Duration(n)
+	for i := 0; i < n; i++ {
+		c.ticks = append(c.ticks, c.clock.Now()+c.opts.Interval+time.Duration(i)*phase)
+	}
+	c.clock.SetAgenda(c)
 }
 
-// Stop cancels the control loop.
+// Stop cancels the control loop: no further tick, and every socket drops
+// the rest of its plan.
 func (c *Controller) Stop() {
-	if !c.started {
+	if len(c.ticks) == 0 {
 		return
 	}
-	for _, t := range c.tasks {
-		t.Cancel()
-	}
-	c.tasks = nil
+	c.ticks = c.ticks[:0]
 	for _, s := range c.sockets {
 		s.cancelPending()
 	}
-	c.started = false
 }
 
-// tick runs one hierarchy iteration: the system-level ECL first (it
-// produces the time-to-violation), then every socket-level ECL.
-func (c *Controller) tick() {
+// Next reports the instant of the earliest pending control action: a tick
+// or a socket's next segment boundary. Same-instant actions fire in a
+// fixed order: ticks before segment boundaries, then the boundary of the
+// socket that planned earlier, then the lower socket index.
+func (c *Controller) Next() (time.Duration, bool) {
+	at, _, _, ok := c.due()
+	return at, ok
+}
+
+// Fire runs the action Next reports. A tick runs one hierarchy
+// iteration: the system-level ECL first (it produces the
+// time-to-violation), then the socket-level ECLs on that tick's grid —
+// all of them, or one under DesyncRTI.
+func (c *Controller) Fire() {
+	_, tick, i, _ := c.due()
+	if !tick {
+		c.sockets[i].Fire()
+		return
+	}
+	c.ticks[i] += c.opts.Interval
+	socks := c.sockets
+	if len(c.ticks) > 1 {
+		socks = c.sockets[i : i+1]
+	}
 	ttv := c.system.Tick(c.clock.Now())
 	c.broadcast(ttv)
-	for s, sock := range c.sockets {
-		sock.Tick(c.stats.Utilization(s), ttv)
+	for _, sock := range socks {
+		sock.Tick(c.stats.Utilization(sock.socket), ttv)
 	}
+}
+
+// due finds the earliest pending action in Next's order: tick i, or
+// socket i's segment boundary.
+func (c *Controller) due() (at time.Duration, tick bool, i int, ok bool) {
+	for j, t := range c.ticks {
+		if !ok || t < at {
+			at, tick, i, ok = t, true, j, true
+		}
+	}
+	for j, s := range c.sockets {
+		b, has := s.Next()
+		if has && (!ok || b < at || b == at && !tick && s.planAt < c.sockets[i].planAt) {
+			at, tick, i, ok = b, false, j, true
+		}
+	}
+	return at, tick, i, ok
 }
 
 // System returns the system-level ECL.

@@ -78,9 +78,16 @@ func prewarmedECL(t *testing.T, w *world, mode MaintenanceMode) *SocketECL {
 	}
 	opts := DefaultOptions()
 	opts.Maintenance = mode
-	s := NewSocketECL(0, opts, w.m, w.clock, prof)
+	s := w.drive(NewSocketECL(0, opts, w.m, w.clock, prof))
 	// The profile is fully evaluated: clear the bootstrap queue.
 	s.adaptQueue = nil
+	return s
+}
+
+// drive makes a standalone socket loop the clock's agenda, so advancing
+// the world walks its plans' segment boundaries.
+func (w *world) drive(s *SocketECL) *SocketECL {
+	w.clock.SetAgenda(s)
 	return s
 }
 
@@ -329,7 +336,7 @@ func TestSocketECLUnevaluatedProfileRunsAllMax(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Maintenance = MaintainNone // no adaptation possible
-	s := NewSocketECL(0, opts, w.m, w.clock, energy.NewProfile(topo, cfgs))
+	s := w.drive(NewSocketECL(0, opts, w.m, w.clock, energy.NewProfile(topo, cfgs)))
 	s.Tick(1.0, NoViolation)
 	w.advance(10 * time.Millisecond)
 	req := w.m.Requested(0)
@@ -345,7 +352,7 @@ func TestSocketECLBootstrapsViaMultiplexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSocketECL(0, DefaultOptions(), w.m, w.clock, energy.NewProfile(topo, cfgs))
+	s := w.drive(NewSocketECL(0, DefaultOptions(), w.m, w.clock, energy.NewProfile(topo, cfgs)))
 	if s.AdaptPending() == 0 {
 		t.Fatal("fresh profile should queue all entries for evaluation")
 	}

@@ -130,8 +130,8 @@ func TestControllerPropagatesPowerCap(t *testing.T) {
 	}
 }
 
-// DesyncRTI staggers the socket loops: one periodic task per socket, and
-// ticks land on distinct phase offsets.
+// DesyncRTI staggers the socket loops: one tick instant per socket, on
+// distinct phase offsets.
 func TestDesyncRTIStaggersTicks(t *testing.T) {
 	w := newWorld(0.5)
 	opts := DefaultOptions()
@@ -141,8 +141,11 @@ func TestDesyncRTIStaggersTicks(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	if got := len(c.tasks); got != c.Sockets() {
-		t.Fatalf("tasks = %d, want one per socket (%d)", got, c.Sockets())
+	if got := len(c.ticks); got != c.Sockets() {
+		t.Fatalf("tick instants = %d, want one per socket (%d)", got, c.Sockets())
+	}
+	if d := c.ticks[1] - c.ticks[0]; d != opts.Interval/time.Duration(c.Sockets()) {
+		t.Errorf("sockets 0 and 1 tick %v apart, want %v", d, opts.Interval/time.Duration(c.Sockets()))
 	}
 	// Ticking is alive on the staggered grid: both sockets get demand
 	// updates within two intervals.
@@ -153,8 +156,8 @@ func TestDesyncRTIStaggersTicks(t *testing.T) {
 		}
 	}
 	c.Stop()
-	if len(c.tasks) != 0 {
-		t.Error("Stop left tasks scheduled")
+	if _, ok := w.clock.NextDeadline(); ok {
+		t.Error("Stop left control actions pending")
 	}
 }
 

@@ -99,17 +99,21 @@ type SocketECL struct {
 	// interval (duty-weighted across segments).
 	lastCapacity units.Hertz
 
-	// Measurement state of the currently running segment.
-	segStart     time.Duration
-	segEntry     *energy.Entry
-	segAdapt     bool
-	segAggregate bool
-	segPkgJ      units.Joule
-	segDramJ     units.Joule
-	segInstr     float64
-	segBusy      float64
-	segActive    float64
-	pendingOps   []vtime.Task
+	// The interval's plan, reused across ticks: plan[cur] is the running
+	// segment (none when cur == len(plan)), begun at segStart; the next
+	// boundary is segStart + plan[cur].dur. planAt is the instant the plan
+	// was made, the Controller's same-instant tie-break.
+	plan   []segment
+	cur    int
+	planAt time.Duration
+
+	// Measurement state of the running segment.
+	segStart  time.Duration
+	segPkgJ   units.Joule
+	segDramJ  units.Joule
+	segInstr  float64
+	segBusy   float64
+	segActive float64
 
 	// Interval-level utilization bookkeeping.
 	tickBusy   float64
@@ -150,10 +154,8 @@ type SocketECL struct {
 	obsDemand   *obs.Gauge
 	obsQueue    *obs.Gauge
 
-	// Query tracing (nil when disabled): segSpan carries the running
-	// segment's control-span kind between beginSegment and finishSegment.
-	tracer  *qtrace.Tracer
-	segSpan qtrace.CtlKind
+	// Query tracing (nil when disabled).
+	tracer *qtrace.Tracer
 
 	// Energy attribution (nil when disabled): planned discovery and
 	// race-to-idle windows are registered ahead of execution so the meter
@@ -168,7 +170,9 @@ type SocketECL struct {
 // a usable profile. stats may be nil, in which case measurement gating is
 // disabled (useful for synthetic full-load tests). Of opts, the loop
 // reads the interval, latency limit, maintenance mode, race-to-idle
-// switch and power cap; DesyncRTI is the Controller's.
+// switch and power cap; DesyncRTI is the Controller's. A loop driven
+// without a Controller must be its clock's agenda (clock.SetAgenda) for
+// its plans to run past their first segment.
 func NewSocketECL(socket int, opts Options, m *hw.Machine, clock *vtime.Clock, profile *energy.Profile) *SocketECL {
 	s := &SocketECL{
 		socket:        socket,
@@ -247,7 +251,9 @@ func (s *SocketECL) ResetAdaptation() {
 // referring to the old profile is dropped.
 func (s *SocketECL) ReplaceProfile(p *energy.Profile) {
 	s.profile = p
-	s.segEntry = nil
+	if s.cur < len(s.plan) {
+		s.plan[s.cur].measure = nil
+	}
 	s.aggEntry = nil
 	s.adaptAttempts = make(map[*energy.Entry]int)
 	s.driftHits = 0
@@ -287,7 +293,6 @@ func (s *SocketECL) Tick(util float64, ttv time.Duration) {
 	s.ticks++
 	s.finishSegment(now)
 	s.flushAggregate(now)
-	s.cancelPending()
 
 	if s.stats != nil {
 		busy, active := s.stats.BusySeconds(s.socket)
@@ -319,8 +324,9 @@ func (s *SocketECL) Tick(util float64, ttv time.Duration) {
 		C:      ttvSeconds(ttv),
 	})
 
-	plan := s.plan(ttv)
-	s.execute(now, plan)
+	s.plan = s.plan[:0]
+	s.buildPlan(ttv)
+	s.execute(now)
 }
 
 // updateDemand implements the utilization controller (Section 5.1): at
@@ -381,12 +387,12 @@ func (s *SocketECL) updateDemand(util float64, ttv time.Duration) {
 // trigger stays quiet — a stable fixed point.
 const provisionHeadroom = 1.1
 
-// plan builds the next interval: multiplexed adaptation windows first,
-// then either steady operation in the chosen configuration or race-to-idle
-// switching against the optimal-zone configuration.
-func (s *SocketECL) plan(ttv time.Duration) []segment {
+// buildPlan appends the next interval to the emptied plan: multiplexed
+// adaptation windows first, then either steady operation in the chosen
+// configuration or race-to-idle switching against the optimal-zone
+// configuration.
+func (s *SocketECL) buildPlan(ttv time.Duration) {
 	interval := s.opts.Interval
-	var plan []segment
 
 	// Safety valve: under a sustained latency violation at full
 	// utilization, stop trusting the (possibly stale) profile ranking
@@ -420,7 +426,8 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 		if s.opts.Maintenance != MaintainNone {
 			meas = s.profile.Lookup(cfg)
 		}
-		return []segment{{cfg: cfg, measure: meas, dur: interval}}
+		s.plan = append(s.plan, segment{cfg: cfg, measure: meas, dur: interval})
+		return
 	}
 
 	// Multiplexed adaptation windows. Each measurement is preceded by an
@@ -439,7 +446,7 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 		slot := 3 * measureWindow // 2x idle accumulation + window
 		for budget >= slot && len(s.adaptQueue) > 0 {
 			e := s.popMostRelevant()
-			plan = append(plan,
+			s.plan = append(s.plan,
 				segment{cfg: s.idleCfg, span: qtrace.CtlRTISleep, dur: 2 * measureWindow},
 				segment{cfg: e.Config, measure: e, adapt: true, span: qtrace.CtlDiscovery, dur: measureWindow})
 			budget -= slot
@@ -447,7 +454,7 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 		}
 	}
 	used := time.Duration(0)
-	for _, seg := range plan {
+	for _, seg := range s.plan {
 		used += seg.dur
 	}
 	remaining := interval - used
@@ -463,11 +470,11 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 	if entry == nil {
 		// Nothing evaluated yet: run everything at full throttle until
 		// the profile has substance.
-		plan = append(plan, segment{cfg: hw.AllMax(s.machine.Topology()), dur: remaining})
+		s.plan = append(s.plan, segment{cfg: hw.AllMax(s.machine.Topology()), dur: remaining})
 		s.rtiActive = false
 		s.lastCapacity = 0
 		s.noteMode("bootstrap")
-		return plan
+		return
 	}
 	opt := s.profile.MostEfficientCapped(s.opts.PowerCapW)
 
@@ -506,14 +513,14 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 					meas = opt
 					agg = runSlice < measureWindow
 				}
-				plan = append(plan, segment{cfg: opt.Config, measure: meas, aggregate: agg, dur: runSlice})
+				s.plan = append(s.plan, segment{cfg: opt.Config, measure: meas, aggregate: agg, dur: runSlice})
 			}
 			if idleSlice := cl - runSlice; idleSlice > 0 {
 				var meas *energy.Entry
 				if s.opts.Maintenance != MaintainNone && idleSlice >= measureWindow {
 					meas = s.profile.Idle()
 				}
-				plan = append(plan, segment{cfg: s.idleCfg, measure: meas, span: qtrace.CtlRTISleep, dur: idleSlice})
+				s.plan = append(s.plan, segment{cfg: s.idleCfg, measure: meas, span: qtrace.CtlRTISleep, dur: idleSlice})
 			}
 		}
 		s.rtiActive = true
@@ -530,7 +537,7 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 			C:      cycleLen.Seconds(),
 		})
 		s.noteMode("rti")
-		return plan
+		return
 	}
 
 	// Steady operation in the chosen configuration; the whole stretch is
@@ -539,7 +546,7 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 	if s.opts.Maintenance != MaintainNone && remaining >= measureWindow {
 		meas = entry
 	}
-	plan = append(plan, segment{cfg: entry.Config, measure: meas, dur: remaining})
+	s.plan = append(s.plan, segment{cfg: entry.Config, measure: meas, dur: remaining})
 	s.rtiActive = false
 	s.lastRTIDuty = 1
 	s.lastRTICycles = 0
@@ -554,7 +561,6 @@ func (s *SocketECL) plan(ttv time.Duration) []segment {
 			s.noteMode("under")
 		}
 	}
-	return plan
 }
 
 // rtiCycleLen chooses the RTI switching period: short cycles (down to the
@@ -592,16 +598,17 @@ func (s *SocketECL) rtiCycleLen(remaining, ttv time.Duration) time.Duration {
 	return want
 }
 
-// execute schedules the plan's configuration transitions on the clock.
-func (s *SocketECL) execute(now time.Duration, plan []segment) {
+// execute starts the fresh plan at its first segment. The remaining
+// boundaries fire through Next/Fire.
+func (s *SocketECL) execute(now time.Duration) {
+	s.planAt, s.cur = now, 0
 	t := now
-	for i, seg := range plan {
-		seg := seg
+	for i, seg := range s.plan {
 		if s.eattr.Enabled() {
 			// Register the segment's control window ahead of execution.
 			// Settle windows are registered by hw.Machine.Apply itself;
-			// only discovery and race-to-idle slices are planned here. A
-			// superseding tick clips them via cancelPending.
+			// only discovery and race-to-idle slices are planned here.
+			// Stop clips them via cancelPending.
 			switch seg.span {
 			case qtrace.CtlDiscovery:
 				s.eattr.AddWindow(s.socket, energyattr.KindDiscovery, t, t+seg.dur)
@@ -610,28 +617,37 @@ func (s *SocketECL) execute(now time.Duration, plan []segment) {
 			}
 		}
 		if i == 0 {
-			s.beginSegment(now, seg)
-		} else {
-			at := t - now
-			s.pendingOps = append(s.pendingOps, s.clock.After(at, func() {
-				s.finishSegment(s.clock.Now())
-				s.beginSegment(s.clock.Now(), seg)
-			}))
+			s.beginSegment(now)
 		}
 		t += seg.dur
 	}
 }
 
-// beginSegment applies a segment's configuration and snapshots counters.
-func (s *SocketECL) beginSegment(now time.Duration, seg segment) {
-	if err := s.machine.Apply(s.socket, seg.cfg); err != nil {
+// Next reports the running segment's end when another planned segment
+// follows it (ok=false otherwise: the plan's last segment runs until the
+// next tick). With Fire it makes the loop a vtime.Agenda.
+func (s *SocketECL) Next() (time.Duration, bool) {
+	if s.cur+1 >= len(s.plan) {
+		return 0, false
+	}
+	return s.segStart + s.plan[s.cur].dur, true
+}
+
+// Fire closes the running segment and begins the next planned one.
+func (s *SocketECL) Fire() {
+	now := s.clock.Now()
+	s.finishSegment(now)
+	s.cur++
+	s.beginSegment(now)
+}
+
+// beginSegment applies the running segment's configuration and snapshots
+// counters.
+func (s *SocketECL) beginSegment(now time.Duration) {
+	if err := s.machine.Apply(s.socket, s.plan[s.cur].cfg); err != nil {
 		panic(err) // profile configurations are validated at generation
 	}
 	s.segStart = now
-	s.segEntry = seg.measure
-	s.segAdapt = seg.adapt
-	s.segAggregate = seg.aggregate
-	s.segSpan = seg.span
 	s.segPkgJ = s.machine.ReadEnergy(s.socket, hw.DomainPackage)
 	s.segDramJ = s.machine.ReadEnergy(s.socket, hw.DomainDRAM)
 	s.segInstr = s.machine.SocketInstructions(s.socket)
@@ -648,21 +664,19 @@ func (s *SocketECL) beginSegment(now time.Duration, seg segment) {
 // measured efficiency marks the whole profile stale for multiplexed
 // re-adaptation.
 func (s *SocketECL) finishSegment(now time.Duration) {
-	if s.tracer != nil && s.segSpan != qtrace.CtlNone && now > s.segStart {
+	if s.cur >= len(s.plan) {
+		return
+	}
+	seg := &s.plan[s.cur]
+	if s.tracer != nil && seg.span != qtrace.CtlNone && now > s.segStart {
 		s.tracer.AddCtl(qtrace.CtlSpan{
-			Kind:   s.segSpan,
+			Kind:   seg.span,
 			Socket: s.socket,
 			Start:  s.segStart,
 			End:    now,
 		})
 	}
-	s.segSpan = qtrace.CtlNone
-	entry := s.segEntry
-	adapt := s.segAdapt
-	aggregate := s.segAggregate
-	s.segEntry = nil
-	s.segAdapt = false
-	s.segAggregate = false
+	entry := seg.measure
 	if entry == nil || s.opts.Maintenance == MaintainNone {
 		return
 	}
@@ -678,7 +692,7 @@ func (s *SocketECL) finishSegment(now time.Duration) {
 		busy, active := s.stats.BusySeconds(s.socket)
 		dBusy, dActive = busy-s.segBusy, active-s.segActive
 	}
-	if aggregate {
+	if seg.aggregate {
 		// RTI run slice: too short alone; accumulate toward one online
 		// measurement per interval.
 		if s.aggEntry != entry {
@@ -695,7 +709,7 @@ func (s *SocketECL) finishSegment(now time.Duration) {
 	if s.stats != nil && !entry.Config.Idle() {
 		if dActive <= 0 || dBusy/dActive < 0.85 {
 			// Partial-load window: unusable as a capacity measurement.
-			if adapt && s.adaptAttempts[entry] < 2 {
+			if seg.adapt && s.adaptAttempts[entry] < 2 {
 				s.adaptAttempts[entry]++
 				s.adaptQueue = append(s.adaptQueue, entry)
 			}
@@ -823,15 +837,16 @@ func (s *SocketECL) popMostRelevant() *energy.Entry {
 	return e
 }
 
-// cancelPending cancels transitions scheduled by the previous tick.
+// cancelPending drops the plan's unconsumed segments (the running one
+// stays, for the next tick to close) and clips the plan's control windows
+// at the current instant. Only Stop needs it: a tick lands where its
+// predecessor's plan ends, and the new plan replaces the old.
 func (s *SocketECL) cancelPending() {
-	for _, t := range s.pendingOps {
-		t.Cancel()
+	if s.cur < len(s.plan) {
+		s.plan = s.plan[:s.cur+1]
 	}
-	s.pendingOps = s.pendingOps[:0]
 	if s.eattr.Enabled() {
-		// Clip the superseded plan's control windows at the replan point:
-		// energy past now belongs to whatever the new plan schedules.
+		// Energy past the stop belongs to no planned window.
 		now := s.clock.Now()
 		s.eattr.CancelFrom(s.socket, energyattr.KindDiscovery, now)
 		s.eattr.CancelFrom(s.socket, energyattr.KindRTISleep, now)

@@ -30,13 +30,10 @@ func TestPlanCoversInterval(t *testing.T) {
 	}
 	for _, c := range cases {
 		s.Tick(c.util, c.ttv)
-		w.advance(100 * time.Millisecond)
-		s.updateDemand(c.util, c.ttv)
-		plan := s.plan(c.ttv)
-		if got := planDuration(plan); got != s.opts.Interval {
+		if got := planDuration(s.plan); got != s.opts.Interval {
 			t.Errorf("util=%v ttv=%v: plan covers %v, want %v", c.util, c.ttv, got, s.opts.Interval)
 		}
-		for _, seg := range plan {
+		for _, seg := range s.plan {
 			if seg.dur <= 0 {
 				t.Errorf("util=%v ttv=%v: non-positive segment %v", c.util, c.ttv, seg.dur)
 			}
@@ -44,6 +41,7 @@ func TestPlanCoversInterval(t *testing.T) {
 				t.Errorf("invalid segment config: %v", err)
 			}
 		}
+		w.advance(100 * time.Millisecond)
 	}
 }
 

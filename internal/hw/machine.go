@@ -103,6 +103,9 @@ type Machine struct {
 	eattr *energyattr.Meter
 }
 
+// pendingApply is a socket's requested configuration on its way to the
+// hardware. cfg is a buffer Apply copies into; the commit in Step swaps
+// it with the socket's requested buffer, so applying allocates nothing.
 type pendingApply struct {
 	cfg   Configuration
 	at    time.Duration
@@ -140,6 +143,7 @@ func NewMachine(topo Topology, pp PowerParams, seed int64) *Machine {
 	m.idleSec = make([]float64, topo.Sockets)
 	for s := 0; s < topo.Sockets; s++ {
 		m.requested[s] = NewConfiguration(topo)
+		m.pending[s].cfg = NewConfiguration(topo)
 		m.turboBudget[s] = pp.TurboBudgetJ
 		m.throttle[s] = 1
 		m.effCache[s] = NewConfiguration(topo)
@@ -209,7 +213,11 @@ func (m *Machine) Apply(socket int, cfg Configuration) error {
 	if err := cfg.Validate(m.topo); err != nil {
 		return err
 	}
-	m.pending[socket] = pendingApply{cfg: cfg.Clone(), at: m.now + ApplyLatency, valid: true}
+	p := &m.pending[socket]
+	copy(p.cfg.Threads, cfg.Threads)
+	copy(p.cfg.CoreMHz, cfg.CoreMHz)
+	p.cfg.UncoreMHz = cfg.UncoreMHz
+	p.at, p.valid = m.now+ApplyLatency, true
 	m.fw.noteRequest(socket, cfg, m.now)
 	m.epoch[socket]++
 	if m.eattr.Enabled() {
@@ -390,7 +398,7 @@ func (m *Machine) Step(dt time.Duration, acts []SocketActivity) {
 				continue
 			}
 			if p.at <= m.now {
-				m.requested[s] = p.cfg
+				m.requested[s], p.cfg = p.cfg, m.requested[s]
 				p.valid = false
 				m.epoch[s]++
 			} else if p.at < segEnd {

@@ -65,6 +65,39 @@ func TestRequestedReturnsPendingConfig(t *testing.T) {
 	}
 }
 
+// Apply owns what it requested: the caller may reuse its configuration
+// at once, and a warm apply-and-settle cycle allocates nothing.
+func TestApplyCopiesWithoutAllocating(t *testing.T) {
+	m := newTestMachine()
+	acts := idleActs(m)
+	busy, idle := NewConfiguration(m.Topology()), NewConfiguration(m.Topology())
+	busy.Threads[2] = true
+	for _, cfg := range []Configuration{busy, idle, busy} {
+		if err := m.Apply(0, cfg); err != nil {
+			t.Fatal(err)
+		}
+		m.Step(ApplyLatency, acts)
+	}
+	busy.Threads[2] = false
+	if !m.Requested(0).Threads[2] || m.Effective(0).ActiveThreads() != 1 {
+		t.Fatal("mutating the applied configuration reached the machine")
+	}
+	busy.Threads[2] = true
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := m.Apply(0, idle); err != nil {
+			t.Fatal(err)
+		}
+		m.Step(ApplyLatency, acts)
+		if err := m.Apply(0, busy); err != nil {
+			t.Fatal(err)
+		}
+		m.Step(ApplyLatency, acts)
+	})
+	if allocs != 0 {
+		t.Errorf("Apply+Step allocates %.1f times per cycle, want 0", allocs)
+	}
+}
+
 // Figure 7(a)/(c): with EPB balanced or powersave, a turbo clock request
 // is held at the highest non-turbo P-state for one second before the
 // energy-efficient turbo engages.

@@ -126,9 +126,10 @@ func (s *Sim) advanceTo(t *time.Duration, target time.Duration, switched *bool) 
 // quiescent, zero offered load throughout); 0 or 1 means "grind". The
 // window is licensed only when every quantum it replaces would provably
 // do nothing the fast-forward does not reproduce: a pending workload
-// switch caps the span, and a clock task deadline D may mutate any
-// state, so the last quantum may at most end at D (a task exactly at the
-// end fires with the machine in the identical state). Pending settles
+// switch caps the span, and a control deadline D (the clock's agenda)
+// may mutate any state, so the last quantum may at most end at D (an
+// action exactly at the end fires with the machine in the identical
+// state). Pending settles
 // need no bound: stretchStep re-checks the configuration epochs after
 // every quantum and bails out the moment one moves.
 func (s *Sim) stretchQuantaFrom(t, target time.Duration, switched bool) int {

@@ -373,9 +373,8 @@ func TestSimStepSteadyStateAllocatesNothing(t *testing.T) {
 // every socket parked and with every socket awake and spinning.
 //
 //	ecl-race-to-idle: an ECL run races to idle on zero load until a
-//	                  sleep slice parks every socket; the controller is
-//	                  then stopped so the windows measure the loop, not
-//	                  the controller's own per-segment bookkeeping.
+//	                  sleep slice parks every socket; the controller keeps
+//	                  ticking and switching segments through the windows.
 //	baseline-awake:   the baseline governor keeps every thread at the
 //	                  all-max configuration.
 func TestAdvanceToSteadyStateAllocatesNothing(t *testing.T) {
@@ -414,7 +413,6 @@ func TestAdvanceToSteadyStateAllocatesNothing(t *testing.T) {
 					}
 					advance(s.opts.Quantum)
 				}
-				s.controller.Stop()
 			} else {
 				s.baseline.Start()
 			}
@@ -483,10 +481,11 @@ func benchStepKernel(b *testing.B, reference bool) {
 func BenchmarkStepKernel(b *testing.B)          { benchStepKernel(b, false) }
 func BenchmarkStepKernelReference(b *testing.B) { benchStepKernel(b, true) }
 
-// benchIdleHeavy runs a full 60 s ECL simulation whose load profile is
-// two short bursts around a long zero plateau — the shape where the run
-// loop's quiescent stretches (every socket idle, or workers spinning
-// through IdleStretch windows) dominate the walk. The
+// benchIdleHeavy times Run over a full 60 s baseline simulation whose
+// load profile is two short bursts around a long zero plateau — the shape
+// where the run loop's quiescent stretches (workers spinning through
+// IdleStretch windows) dominate the walk. Building the Sim (the KV
+// partitions) stays outside the timer. The
 // Reference variant runs the identical scenario on the per-quantum
 // reference walk, so the pair reads what the production path's
 // fast-forward buys directly off a BENCH_*.json snapshot. No observer is
@@ -496,6 +495,7 @@ func benchIdleHeavy(b *testing.B, reference bool) {
 	levels := make([]float64, 30)
 	levels[0], levels[len(levels)-1] = 4000, 4000
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		s, err := New(Options{
 			Workload:  workload.NewKV(true),
 			Load:      loadprofile.Step{Levels: levels, StepLen: 2 * time.Second},
@@ -507,6 +507,7 @@ func benchIdleHeavy(b *testing.B, reference bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		if _, err := s.Run(); err != nil {
 			b.Fatal(err)
 		}

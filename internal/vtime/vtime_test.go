@@ -5,10 +5,60 @@ import (
 	"time"
 )
 
+// queue is a test agenda: deadlines in ascending order (ties in the order
+// added), each with an action that may add further deadlines.
+type queue struct {
+	c  *Clock
+	at []time.Duration
+	fn []func()
+}
+
+func newQueue(c *Clock) *queue {
+	q := &queue{c: c}
+	c.SetAgenda(q)
+	return q
+}
+
+// after adds fn at the clock's current instant plus d.
+func (q *queue) after(d time.Duration, fn func()) {
+	at := q.c.Now() + d
+	i := len(q.at)
+	for i > 0 && q.at[i-1] > at {
+		i--
+	}
+	q.at = append(q.at[:i], append([]time.Duration{at}, q.at[i:]...)...)
+	q.fn = append(q.fn[:i], append([]func(){fn}, q.fn[i:]...)...)
+}
+
+// every adds fn each period from now on, re-arming from inside its own
+// firing the way a control loop's tick does.
+func (q *queue) every(period time.Duration, fn func()) {
+	q.after(period, func() {
+		q.every(period, fn)
+		fn()
+	})
+}
+
+func (q *queue) Next() (time.Duration, bool) {
+	if len(q.at) == 0 {
+		return 0, false
+	}
+	return q.at[0], true
+}
+
+func (q *queue) Fire() {
+	fn := q.fn[0]
+	q.at, q.fn = q.at[1:], q.fn[1:]
+	fn()
+}
+
 func TestClockStartsAtZero(t *testing.T) {
 	c := NewClock()
 	if got := c.Now(); got != 0 {
 		t.Fatalf("Now() = %v, want 0", got)
+	}
+	if _, ok := c.NextDeadline(); ok {
+		t.Fatal("a clock without an agenda reports a deadline")
 	}
 }
 
@@ -35,8 +85,12 @@ func TestAdvanceNegativePanics(t *testing.T) {
 
 func TestAfterFiresOnce(t *testing.T) {
 	c := NewClock()
+	q := newQueue(c)
 	fired := 0
-	c.After(time.Second, func() { fired++ })
+	q.after(time.Second, func() { fired++ })
+	if d, ok := c.NextDeadline(); !ok || d != time.Second {
+		t.Fatalf("NextDeadline = %v, %v; want 1s, true", d, ok)
+	}
 	c.Advance(999 * time.Millisecond)
 	if fired != 0 {
 		t.Fatalf("fired early: %d", fired)
@@ -49,22 +103,32 @@ func TestAfterFiresOnce(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired again: %d", fired)
 	}
+	if _, ok := c.NextDeadline(); ok {
+		t.Fatal("an empty agenda reports a deadline")
+	}
 }
 
 func TestAfterObservesDeadlineTime(t *testing.T) {
 	c := NewClock()
+	q := newQueue(c)
 	var at time.Duration
-	c.After(time.Second, func() { at = c.Now() })
+	q.after(time.Second, func() { at = c.Now() })
 	c.Advance(5 * time.Second)
 	if at != time.Second {
-		t.Fatalf("task observed Now() = %v, want 1s", at)
+		t.Fatalf("action observed Now() = %v, want 1s", at)
+	}
+	if c.Now() != 5*time.Second {
+		t.Fatalf("Now() = %v after the window, want 5s", c.Now())
 	}
 }
 
+// An action that plans its successor inside the window fires again in the
+// same Advance, once per period.
 func TestEveryFiresPeriodically(t *testing.T) {
 	c := NewClock()
+	q := newQueue(c)
 	var times []time.Duration
-	c.Every(time.Second, func() { times = append(times, c.Now()) })
+	q.every(time.Second, func() { times = append(times, c.Now()) })
 	c.Advance(3500 * time.Millisecond)
 	want := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}
 	if len(times) != len(want) {
@@ -77,96 +141,54 @@ func TestEveryFiresPeriodically(t *testing.T) {
 	}
 }
 
-func TestEveryAtPhaseOffset(t *testing.T) {
-	c := NewClock()
-	var times []time.Duration
-	c.EveryAt(250*time.Millisecond, time.Second, func() { times = append(times, c.Now()) })
-	c.Advance(2300 * time.Millisecond)
-	want := []time.Duration{250 * time.Millisecond, 1250 * time.Millisecond, 2250 * time.Millisecond}
-	if len(times) != len(want) {
-		t.Fatalf("fired %d times (%v), want %d", len(times), times, len(want))
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("firing %d at %v, want %v", i, times[i], want[i])
-		}
-	}
-}
-
-func TestEveryNonPositivePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Every(0) did not panic")
-		}
-	}()
-	NewClock().Every(0, func() {})
-}
-
-func TestCancelStopsFiring(t *testing.T) {
-	c := NewClock()
-	fired := 0
-	task := c.Every(time.Second, func() { fired++ })
-	c.Advance(2500 * time.Millisecond)
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-	task.Cancel()
-	c.Advance(10 * time.Second)
-	if fired != 2 {
-		t.Fatalf("fired after cancel: %d", fired)
-	}
-}
-
-func TestCancelFromWithinTask(t *testing.T) {
-	c := NewClock()
-	fired := 0
-	var task Task
-	task = c.Every(time.Second, func() {
-		fired++
-		if fired == 3 {
-			task.Cancel()
-		}
-	})
-	c.Advance(10 * time.Second)
-	if fired != 3 {
-		t.Fatalf("fired = %d, want 3", fired)
-	}
-}
-
 func TestTaskSchedulingDuringAdvance(t *testing.T) {
 	c := NewClock()
+	q := newQueue(c)
 	var order []string
-	c.After(time.Second, func() {
+	q.after(time.Second, func() {
 		order = append(order, "outer")
-		c.After(time.Second, func() { order = append(order, "inner") })
+		q.after(time.Second, func() { order = append(order, "inner") })
+		q.after(0, func() { order = append(order, "now") })
 	})
 	c.Advance(5 * time.Second)
-	if len(order) != 2 || order[0] != "outer" || order[1] != "inner" {
-		t.Fatalf("order = %v, want [outer inner]", order)
+	if len(order) != 3 || order[0] != "outer" || order[1] != "now" || order[2] != "inner" {
+		t.Fatalf("order = %v, want [outer now inner]", order)
 	}
 }
 
+// Every action due within one Advance fires, in the agenda's order: by
+// deadline, and same-deadline actions in the order the agenda gives them.
+// A deadline at the window's end fires.
 func TestSameDeadlineFiresInScheduleOrder(t *testing.T) {
 	c := NewClock()
+	q := newQueue(c)
 	var order []int
-	for i := 0; i < 5; i++ {
+	for i, d := range []time.Duration{3, 1, 2, 2, 1, 7} {
 		i := i
-		c.After(time.Second, func() { order = append(order, i) })
+		q.after(d*time.Second, func() { order = append(order, i) })
 	}
-	c.Advance(time.Second)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order = %v, want ascending", order)
+	c.Advance(3 * time.Second)
+	want := []int{1, 4, 2, 3, 0}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+	if d, ok := c.NextDeadline(); !ok || d != 7*time.Second {
+		t.Fatalf("NextDeadline = %v, %v; want 7s, true", d, ok)
 	}
 }
 
 func TestZeroDelayAfterFiresImmediatelyOnAdvance(t *testing.T) {
 	c := NewClock()
+	q := newQueue(c)
 	fired := false
-	c.After(0, func() { fired = true })
+	q.after(0, func() { fired = true })
 	c.Advance(0)
 	if !fired {
-		t.Fatal("zero-delay task did not fire on Advance(0)")
+		t.Fatal("an action due now did not fire on Advance(0)")
 	}
 }
