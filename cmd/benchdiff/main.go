@@ -13,10 +13,15 @@
 //
 // With explicit file arguments the two snapshots are compared in the
 // given order. Without them, the tool globs dir for BENCH_*.json and
-// compares the lexically-newest two (the date- and timestamp-stamped
+// compares the lexically-newest snapshot (the date- and timestamp-stamped
 // names sort chronologically; a bare date sorts before the same day's
-// timestamps). Fewer than two snapshots is a clean no-op — the
-// first CI run after a snapshot-schema change has nothing to diff.
+// timestamps) with its predecessor: the newest earlier snapshot whose
+// commit is an ancestor of the newest one's, so a snapshot taken on a
+// side branch is never the baseline of the mainline. When git, the
+// newest snapshot's commit, or any ancestor snapshot is unavailable, the
+// predecessor is the lexically-second-newest. Fewer than two snapshots
+// is a clean no-op — the first CI run after a snapshot-schema change has
+// nothing to diff.
 //
 // -fail-over N exits nonzero when any benchmark's ns/op regressed by
 // more than N percent; the default 0 never fails.
@@ -24,11 +29,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"text/tabwriter"
 )
 
@@ -71,9 +79,21 @@ func load(path string) (*snapshot, error) {
 	return &s, nil
 }
 
-// pick returns the lexically-newest two BENCH_*.json files in dir as
-// (older, newer). The date-stamped names sort chronologically.
+// pick returns the snapshots to compare in dir as (older, newer): the
+// lexically-newest BENCH_*.json file and its predecessor by commit
+// ancestry in the git repository holding dir (see pickBy).
 func pick(dir string) (older, newer string, err error) {
+	return pickBy(dir, gitAncestor(dir))
+}
+
+// pickBy returns the lexically-newest BENCH_*.json file in dir as newer
+// and, as older, the newest earlier snapshot whose commit isAncestor
+// reports as an ancestor of (or equal to) newer's. isAncestor's ok is
+// false when it cannot tell: a snapshot whose commit is unknown is
+// skipped, and when newer's own commit is unknown — or no earlier
+// snapshot qualifies — older falls back to the lexically-second-newest
+// file. The date-stamped names sort chronologically.
+func pickBy(dir string, isAncestor func(a, b string) (is, ok bool)) (older, newer string, err error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
 		return "", "", err
@@ -82,7 +102,57 @@ func pick(dir string) (older, newer string, err error) {
 		return "", "", nil
 	}
 	sort.Strings(matches)
-	return matches[len(matches)-2], matches[len(matches)-1], nil
+	newer = matches[len(matches)-1]
+	lexical := matches[len(matches)-2]
+	head := snapshotCommit(newer)
+	if head == "" {
+		return lexical, newer, nil
+	}
+	if _, ok := isAncestor(head, head); !ok {
+		return lexical, newer, nil
+	}
+	for i := len(matches) - 2; i >= 0; i-- {
+		c := snapshotCommit(matches[i])
+		if c == "" {
+			continue
+		}
+		if is, ok := isAncestor(c, head); ok && is {
+			return matches[i], newer, nil
+		}
+	}
+	return lexical, newer, nil
+}
+
+// snapshotCommit returns the commit a BENCH_<timestamp>_<commit>.json
+// name records, without bench.sh's "-dirty" suffix, or "" for the older
+// BENCH_<date>.json names.
+func snapshotCommit(path string) string {
+	name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
+	_, commit, ok := strings.Cut(name, "_")
+	if !ok {
+		return ""
+	}
+	return strings.TrimSuffix(commit, "-dirty")
+}
+
+// gitAncestor returns an ancestry oracle over the git repository holding
+// dir: is reports whether commit a is an ancestor of (or equal to)
+// commit b, and ok is false when git is missing, dir is not in a
+// repository, or either commit is unknown.
+func gitAncestor(dir string) func(a, b string) (is, ok bool) {
+	return func(a, b string) (bool, bool) {
+		err := exec.Command("git", "-C", dir, "merge-base", "--is-ancestor", a, b).Run()
+		if err == nil {
+			return true, true
+		}
+		// Exit status 1 is git's "not an ancestor"; anything else is a
+		// failure to answer.
+		var exit *exec.ExitError
+		if errors.As(err, &exit) && exit.ExitCode() == 1 {
+			return false, true
+		}
+		return false, false
+	}
 }
 
 // pct returns the relative change from old to new in percent.

@@ -174,3 +174,55 @@ func TestPickNewestTwo(t *testing.T) {
 		t.Errorf("pick with one snapshot = (%s, %s), want empty", gotOld, gotNew)
 	}
 }
+
+// TestPickByAncestry asserts the predecessor is the newest earlier
+// snapshot whose commit is an ancestor of the newest snapshot's — a newer
+// snapshot from a side branch and one with no commit are passed over —
+// and that pick falls back to the lexical order when ancestry cannot be
+// told, whether for every commit (no git) or for the newest one's.
+func TestPickByAncestry(t *testing.T) {
+	dir := t.TempDir()
+	files := []string{
+		"BENCH_2026-08-07T100000Z_aaaaaaa.json",       // mainline ancestor
+		"BENCH_2026-08-07T120000Z_bbbbbbb-dirty.json", // side branch
+		"BENCH_2026-08-07T130000Z_ccccccc.json",       // unknown to git
+		"BENCH_2026-08-08.json",                       // no commit
+		"BENCH_2026-08-08T090000Z_ddddddd-dirty.json", // newest
+	}
+	for _, f := range files {
+		writeSnapshot(t, dir, f, oldSnap)
+	}
+	mainline := map[string]bool{"aaaaaaa": true, "ddddddd": true}
+	ancestry := func(a, b string) (bool, bool) {
+		if a == "ccccccc" || b == "ccccccc" {
+			return false, false
+		}
+		if b != "ddddddd" {
+			t.Fatalf("ancestry asked of %s, want the newest snapshot's commit", b)
+		}
+		return mainline[a], true
+	}
+	for _, c := range []struct {
+		name     string
+		oracle   func(a, b string) (bool, bool)
+		wantPrev string
+	}{
+		{"ancestry", ancestry, files[0]},
+		{"no git", func(a, b string) (bool, bool) { return false, false }, files[3]},
+		{"no ancestor", func(a, b string) (bool, bool) { return a == b, true }, files[3]},
+	} {
+		older, newer, err := pickBy(dir, c.oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(older) != c.wantPrev || filepath.Base(newer) != files[4] {
+			t.Errorf("%s: pickBy = (%s, %s), want (%s, %s)", c.name, filepath.Base(older), filepath.Base(newer), c.wantPrev, files[4])
+		}
+	}
+	if got := snapshotCommit("BENCH_2026-08-08T090000Z_ddddddd-dirty.json"); got != "ddddddd" {
+		t.Errorf("snapshotCommit = %q", got)
+	}
+	if got := snapshotCommit("BENCH_2026-08-08.json"); got != "" {
+		t.Errorf("snapshotCommit of a bare date = %q, want empty", got)
+	}
+}

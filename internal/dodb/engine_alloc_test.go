@@ -3,6 +3,7 @@ package dodb
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"ecldb/internal/workload"
 )
@@ -38,14 +39,13 @@ func TestStepSteadyStateAllocatesNothing(t *testing.T) {
 
 // The submit+drain cycle allocates nothing under a standing backlog, for
 // every workload: queries are generated into the engine's op scratch with
-// closure-free exec functions, queries and messages come from the
-// engine's freelists, the partition queues and outbound buffers compact
-// in place, the latency window compacts into its own array, and the
+// closure-free exec functions, query records come from the engine's
+// freelist, messages are stored by value in the partition queues' and
+// outbound buffers' rings, the latency window reuses its ring, and the
 // sampled exec work scans into partition-owned scratch. Every cycle tops
 // the engine up to a fixed number of pending messages, so the queues
-// never run empty (an emptied queue would rewind and hide a compaction
-// that reallocates), and then runs one step whose budget drains a
-// fraction of them.
+// never run empty, and then runs one step whose budget drains a fraction
+// of them.
 func TestStepDrainAllocationBudget(t *testing.T) {
 	cases := append([]streamCase{{workload.NewKV(true), 2 * 2400 * 512}}, streamWorkloads()...)
 	for _, c := range cases {
@@ -69,7 +69,7 @@ func TestStepDrainAllocationBudget(t *testing.T) {
 				e.Step(now, time.Millisecond, act, bud)
 				now += time.Millisecond
 			}
-			// Warm up past several latency-window compactions and until
+			// Warm up past the latency window's first second and until
 			// every queue and scratch buffer has reached its steady
 			// capacity.
 			for i := 0; i < 4000; i++ {
@@ -77,9 +77,8 @@ func TestStepDrainAllocationBudget(t *testing.T) {
 			}
 			before := e.CompletedQueries()
 			// One measured run of 500 cycles: AllocsPerRun floors the
-			// per-run mean, so per-cycle runs would round a rare
-			// compaction's reallocation away. Here a single allocation
-			// anywhere fails.
+			// per-run mean, so per-cycle runs would round a rare ring
+			// growth away. Here a single allocation anywhere fails.
 			allocs := testing.AllocsPerRun(1, func() {
 				for i := 0; i < 500; i++ {
 					cycle()
@@ -137,5 +136,13 @@ func TestStepStatsAreReusedScratch(t *testing.T) {
 				t.Fatalf("socket %d thread %d stale used instructions %v", s, lt, u)
 			}
 		}
+	}
+}
+
+// An in-flight query record fits in one 64-byte cache line (the
+// allocator's 64-byte size class).
+func TestQueryFits64Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(query{}); got > 64 {
+		t.Fatalf("query is %d bytes, want at most 64", got)
 	}
 }

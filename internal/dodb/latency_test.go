@@ -1,6 +1,7 @@
 package dodb
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -76,7 +77,7 @@ func TestLatencyTrackerEmpty(t *testing.T) {
 
 func TestLatencyTrackerCompaction(t *testing.T) {
 	lt := NewLatencyTracker(10 * time.Millisecond)
-	// Push enough samples to trigger internal compaction.
+	// Push enough samples to wrap the window's ring many times.
 	for i := 0; i < 20000; i++ {
 		lt.Record(time.Millisecond, time.Duration(i)*time.Millisecond)
 	}
@@ -157,67 +158,104 @@ func slidingLatency(i int) time.Duration {
 	return time.Duration(1+(i*7919)%50000) * time.Microsecond
 }
 
-// A constant-rate stream over a window of ~3000 samples crosses the
-// 4096-sample compaction threshold many times. The in-place compaction
-// must keep the window's order exactly: Average, Percentile and Trend
-// equal a from-scratch rescan bit for bit on both sides of every
-// compaction, and the backing array stops growing once warm.
-func TestLatencyTrackerCompactionMatchesRescan(t *testing.T) {
-	const (
-		step   = 100 * time.Microsecond
-		window = 300 * time.Millisecond // 3000 samples at this rate
-		n      = 60000
-	)
+// A stream whose rate steps up and back down makes the window's ring wrap
+// around many times at each size and grow twice. Average, Percentile and
+// Trend must equal a from-scratch rescan bit for bit throughout — checked
+// on every growth and every change of the window's wrap state, and on a
+// sparse sample elsewhere — and the ring must stop at the power of two
+// above the largest window.
+func TestLatencyTrackerRingMatchesRescan(t *testing.T) {
+	const window = 300 * time.Millisecond
+	// Phases of (spacing, samples): ~3000, then ~12000, then ~3000
+	// samples in the window.
+	phases := []struct {
+		step time.Duration
+		n    int
+	}{{100 * time.Microsecond, 20000}, {25 * time.Microsecond, 40000}, {100 * time.Microsecond, 20000}}
 	lt := NewLatencyTracker(window)
 	ref := &naiveWindow{window: window}
-	compactions, maxCap, capAtWarm := 0, 0, 0
-	for i := 0; i < n; i++ {
-		now := time.Duration(i) * step
-		lat := slidingLatency(i)
-		headBefore := lt.head
-		lt.Record(lat, now)
-		ref.at = append(ref.at, now)
-		ref.lat = append(ref.lat, lat)
-		if lt.head < headBefore {
-			compactions++
-		}
-		maxCap = max(maxCap, cap(lt.samples))
-		if i == n/4 {
-			capAtWarm = cap(lt.samples)
-		}
-		// Check every query around each compaction and a sparse sample
-		// elsewhere (the rescan reference is O(window) per query).
-		if lt.head >= headBefore && i%997 != 0 {
-			continue
-		}
-		if got, want := lt.Average(now), ref.average(now); got != want {
-			t.Fatalf("sample %d: Average = %v, rescan %v", i, got, want)
-		}
-		for _, p := range []float64{0.5, 0.95, 0.99} {
-			if got, want := lt.Percentile(now, p), ref.percentile(now, p); got != want {
-				t.Fatalf("sample %d: P%v = %v, rescan %v", i, p*100, got, want)
+	growths, wrapChanges, i := 0, 0, 0
+	now := time.Duration(0)
+	wasWrapped := false
+	for _, ph := range phases {
+		for j := 0; j < ph.n; j, i = j+1, i+1 {
+			now += ph.step
+			lat := slidingLatency(i)
+			capBefore := lt.win.Cap()
+			lt.Record(lat, now)
+			ref.at = append(ref.at, now)
+			ref.lat = append(ref.lat, lat)
+			grew := lt.win.Cap() != capBefore
+			if grew {
+				growths++
+			}
+			_, tail := lt.win.All()
+			wrapped := len(tail) > 0
+			edge := wrapped != wasWrapped
+			if edge {
+				wrapChanges++
+			}
+			wasWrapped = wrapped
+			// The rescan reference is O(window) per query.
+			if !grew && !edge && i%997 != 0 {
+				continue
+			}
+			if got, want := lt.Average(now), ref.average(now); got != want {
+				t.Fatalf("sample %d: Average = %v, rescan %v", i, got, want)
+			}
+			for _, p := range []float64{0.5, 0.95, 0.99} {
+				if got, want := lt.Percentile(now, p), ref.percentile(now, p); got != want {
+					t.Fatalf("sample %d: P%v = %v, rescan %v", i, p*100, got, want)
+				}
+			}
+			if got, want := lt.Trend(now), ref.trend(now); got != want {
+				t.Fatalf("sample %d: Trend = %v, rescan %v (must be bit-identical)", i, got, want)
+			}
+			if _, lat := ref.in(now); lt.Count(now) != len(lat) {
+				t.Fatalf("sample %d: Count = %d, rescan %d", i, lt.Count(now), len(lat))
 			}
 		}
-		if got, want := lt.Trend(now), ref.trend(now); got != want {
-			t.Fatalf("sample %d: Trend = %v, rescan %v (must be bit-identical)", i, got, want)
-		}
-		if _, lat := ref.in(now); lt.Count(now) != len(lat) {
-			t.Fatalf("sample %d: Count = %d, rescan %d", i, lt.Count(now), len(lat))
-		}
 	}
-	if compactions < 5 {
-		t.Fatalf("only %d compactions in %d samples; threshold not exercised", compactions, n)
+	// 3001 samples need 4096 slots, 12001 need 16384: the ring grows
+	// from 4096 to 16384 in the dense phase and never shrinks.
+	if c := lt.win.Cap(); c != 16384 {
+		t.Fatalf("window ring cap %d, want 16384 for a window of at most ~12000 samples", c)
 	}
-	if maxCap != capAtWarm {
-		t.Fatalf("window array grew from cap %d to %d after warm-up; compaction must reuse it", capAtWarm, maxCap)
-	}
-	if maxCap > 4*8192 {
-		t.Fatalf("window array cap %d for a ~3000-sample window", maxCap)
+	if growths < 2 || wrapChanges < 10 {
+		t.Fatalf("%d growths and %d wrap-state changes: ring not exercised", growths, wrapChanges)
 	}
 }
 
-// Once warm, recording into a sliding window allocates nothing: the
-// compaction copies into the same array Record appends to.
+// A tracker fed a constant stream whose window holds W samples allocates
+// at most 2·nextPow2(W)·16 bytes for the window in total: the ring
+// doubles only when full, so its discarded arrays sum to less than the
+// final one. (Appending to a slice with a compaction rule allocated 35 MB
+// for W = 132k: append grows large slices by ~1.25x, and the array filled
+// before half of it was consumed.)
+func TestLatencyTrackerGrowthBytes(t *testing.T) {
+	const (
+		w      = 132_000
+		window = time.Second
+		final  = 1 << 18 // nextPow2(w + 1)
+	)
+	step := window / w
+	lt := NewLatencyTracker(window)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 3*w; i++ {
+		lt.Record(slidingLatency(i), time.Duration(i)*step)
+	}
+	runtime.ReadMemStats(&after)
+	if lt.win.Cap() != final {
+		t.Fatalf("window ring cap %d, want %d", lt.win.Cap(), final)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*final*16); got > limit {
+		t.Fatalf("a %d-sample window allocated %d bytes, want at most %d", w, got, limit)
+	}
+}
+
+// Once warm, recording into a sliding window allocates nothing: the ring
+// reuses its array.
 func TestLatencyTrackerRecordAllocatesNothing(t *testing.T) {
 	const step = 100 * time.Microsecond
 	lt := NewLatencyTracker(300 * time.Millisecond)
@@ -226,12 +264,9 @@ func TestLatencyTrackerRecordAllocatesNothing(t *testing.T) {
 		lt.Record(slidingLatency(i), time.Duration(i)*step)
 		i++
 	}
-	for i < 50000 { // several compaction cycles to reach the steady cap
+	for i < 50000 { // many wrap-arounds at the steady cap
 		record()
 	}
-	// One measured run spanning several compactions: AllocsPerRun floors
-	// the per-run mean, which would round one reallocation per ~4100
-	// records away.
 	allocs := testing.AllocsPerRun(1, func() {
 		for j := 0; j < 20000; j++ {
 			record()
@@ -244,7 +279,7 @@ func TestLatencyTrackerRecordAllocatesNothing(t *testing.T) {
 
 // BenchmarkLatencyTrackerRecord measures Record on a sliding window at a
 // constant rate, the engine's per-completed-query path: ~3000 samples in
-// the window, compacting every ~4100 samples.
+// a 4096-slot ring.
 func BenchmarkLatencyTrackerRecord(b *testing.B) {
 	const step = 100 * time.Microsecond
 	lt := NewLatencyTracker(300 * time.Millisecond)

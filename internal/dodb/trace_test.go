@@ -68,7 +68,8 @@ func TestQueryPhaseConservation(t *testing.T) {
 
 	// Spans are emitted in completion order, exactly when the tracker
 	// records its sample — so span i corresponds to sample i.
-	samples := e.latency.samples
+	head, tail := e.latency.win.All()
+	samples := append(append([]latencySample(nil), head...), tail...)
 	if len(samples) != len(spans) {
 		t.Fatalf("tracker holds %d samples, tracer %d spans", len(samples), len(spans))
 	}

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -184,27 +185,33 @@ func (c Configuration) Equal(o Configuration, threadsPerCore int) bool {
 // Key returns a canonical string identifying the hardware state, usable as
 // a map key. Clocks of inactive cores are normalized out.
 func (c Configuration) Key(threadsPerCore int) string {
-	var b strings.Builder
+	return string(c.AppendKey(nil, threadsPerCore))
+}
+
+// AppendKey appends Key's bytes to dst and returns the extended slice. A
+// caller that reuses dst can look the key up in a string-keyed map with
+// m[string(b)], which does not allocate.
+func (c Configuration) AppendKey(dst []byte, threadsPerCore int) []byte {
 	for _, a := range c.Threads {
 		if a {
-			b.WriteByte('1')
+			dst = append(dst, '1')
 		} else {
-			b.WriteByte('0')
+			dst = append(dst, '0')
 		}
 	}
-	b.WriteByte('/')
+	dst = append(dst, '/')
 	for core, f := range c.CoreMHz {
 		if core > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
 		if c.CoreActive(core, threadsPerCore) {
-			fmt.Fprintf(&b, "%d", f)
+			dst = strconv.AppendInt(dst, int64(f), 10)
 		} else {
-			b.WriteByte('-')
+			dst = append(dst, '-')
 		}
 	}
-	fmt.Fprintf(&b, "/%d", c.UncoreMHz)
-	return b.String()
+	dst = append(dst, '/')
+	return strconv.AppendInt(dst, int64(c.UncoreMHz), 10)
 }
 
 // String renders a compact human-readable form, e.g.

@@ -180,8 +180,11 @@ type Sim struct {
 	started time.Duration
 
 	// configTime accumulates time per applied configuration key.
+	// configName maps every key seen to its interned key string and its
+	// display name (see configKey); keyBuf is configKey's reused buffer.
 	configTime map[string]time.Duration
-	configName map[string]string
+	configName map[string]configLabel
+	keyBuf     []byte
 
 	// Reused per-step buffers (the step loop runs ~10^5 times per
 	// experiment).
@@ -285,7 +288,7 @@ func New(opts Options) (*Sim, error) {
 		topo:       topo,
 		rec:        trace.NewRecorder(),
 		configTime: make(map[string]time.Duration),
-		configName: make(map[string]string),
+		configName: make(map[string]configLabel),
 	}
 	eng, err := dodb.New(dodb.Config{
 		Topo:          topo,
@@ -598,9 +601,10 @@ func (s *Sim) kernelFor(sock int) *stepKernel {
 }
 
 // refreshKernel recomputes a socket's kernel from the current effective
-// configuration and workload characteristics. It allocates nothing once
-// the kernel exists, so epoch churn (e.g. auto-UFS decay bumping the
-// clock every quantum) cannot regress the step loop's allocation budget.
+// configuration and workload characteristics. Once the kernel exists it
+// allocates only on a configuration's first sighting (configKey), so
+// epoch churn (e.g. auto-UFS decay bumping the clock every quantum)
+// cannot regress the step loop's allocation budget.
 func (s *Sim) refreshKernel(sock int, k *stepKernel, ce, we uint64) {
 	s.flushConfigTime(k)
 	eff := s.machine.EffectiveView(sock)
@@ -616,12 +620,27 @@ func (s *Sim) refreshKernel(sock int, k *stepKernel, ce, we uint64) {
 	k.idle = eff.Idle()
 	k.key = ""
 	if s.controller != nil && !k.idle {
-		k.key = eff.Key(s.topo.ThreadsPerCore)
-		if _, ok := s.configName[k.key]; !ok {
-			s.configName[k.key] = eff.String()
-		}
+		k.key = s.configKey(eff)
 	}
 	k.valid, k.cfgEpoch, k.chEpoch = true, ce, we
+}
+
+// configLabel is an applied configuration's interned key and display
+// name.
+type configLabel struct{ key, name string }
+
+// configKey returns the interned key string of a configuration. The key
+// is built into a reused buffer and looked up with string(buf), which
+// does not allocate; the key string and the display name (a pure
+// function of the key) are rendered only on a key's first sighting.
+func (s *Sim) configKey(eff *hw.Configuration) string {
+	s.keyBuf = eff.AppendKey(s.keyBuf[:0], s.topo.ThreadsPerCore)
+	if l, ok := s.configName[string(s.keyBuf)]; ok {
+		return l.key
+	}
+	l := configLabel{key: string(s.keyBuf), name: eff.String()}
+	s.configName[l.key] = l
+	return l.key
 }
 
 // flushConfigTime moves a kernel's batched applied-configuration time
@@ -1007,14 +1026,7 @@ func (s *Sim) stepNaive(q time.Duration) {
 		// Track applied-configuration time for Table 1's "best
 		// configuration" column.
 		if s.controller != nil && !eff.Idle() {
-			key := eff.Key(s.topo.ThreadsPerCore)
-			s.configTime[key] += q
-			// Render the display name only on first sighting of a key:
-			// it is a pure function of the key, so re-rendering it
-			// every quantum only burned allocations.
-			if _, ok := s.configName[key]; !ok {
-				s.configName[key] = eff.String()
-			}
+			s.configTime[s.configKey(&eff)] += q
 		}
 	}
 
@@ -1206,7 +1218,7 @@ func (s *Sim) mostApplied() string {
 			bestKey, bestT = k, t
 		}
 	}
-	return s.configName[bestKey]
+	return s.configName[bestKey].name
 }
 
 // Run is a convenience wrapper: build and run in one call.

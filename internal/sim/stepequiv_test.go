@@ -282,6 +282,38 @@ func TestKernelRefreshesOnMachineEpoch(t *testing.T) {
 	}
 }
 
+// TestKernelRefreshAllocatesNothing asserts that refreshing a kernel to
+// an already-seen configuration does not allocate: the configuration key
+// is built into a reused buffer and looked up without a string
+// conversion, and only a first sighting renders the key and its name.
+func TestKernelRefreshAllocatesNothing(t *testing.T) {
+	s, err := New(Options{
+		Workload: workload.NewKV(true),
+		Load:     loadprofile.Constant{Qps: 100, Len: time.Second},
+		Governor: GovernorECL,
+		Seed:     3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.initKernels()
+	settleAllMax(t, s)
+	k := s.kernelFor(0)
+	if k.idle || k.key == "" {
+		t.Fatalf("kernel not keyed after settle: idle=%v key=%q", k.idle, k.key)
+	}
+	ce, we := k.cfgEpoch, k.chEpoch
+	allocs := testing.AllocsPerRun(100, func() {
+		s.refreshKernel(0, k, ce, we)
+	})
+	if allocs != 0 {
+		t.Fatalf("refreshing to a seen configuration allocates %.1f times, want 0", allocs)
+	}
+	if got := s.configName[k.key]; got.key != k.key || got.name == "" {
+		t.Fatalf("configuration %q labelled %+v", k.key, got)
+	}
+}
+
 // TestKernelRefreshesOnWorkloadSwitch asserts that installing a workload
 // with different hardware characteristics moves the characteristics epoch
 // and re-derives the kernel's capacity.
