@@ -15,7 +15,7 @@ func TestRouterFourSockets(t *testing.T) {
 	}
 	// Send from socket 0 to one partition on every socket.
 	for p := 0; p < 4; p++ {
-		if err := r.Send(0, mkMsg(p)); err != nil {
+		if err := send(r, 0, mkMsg(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,14 +53,14 @@ func TestHubNoStarvationUnderSkew(t *testing.T) {
 	h := NewHub(0, []int{1, 2, 3})
 	// Partition 1 gets a deep queue; 2 and 3 get one message each.
 	for i := 0; i < 100; i++ {
-		if err := h.EnqueueLocal(mkMsg(1)); err != nil {
+		if err := enqueue(h, mkMsg(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := h.EnqueueLocal(mkMsg(2)); err != nil {
+	if err := enqueue(h, mkMsg(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.EnqueueLocal(mkMsg(3)); err != nil {
+	if err := enqueue(h, mkMsg(3)); err != nil {
 		t.Fatal(err)
 	}
 	served := map[int]int{}
