@@ -10,6 +10,8 @@
 #              §13), with stale-suppression detection
 #   tests      the short suite (the full figure sweep takes tens of
 #              minutes; heavy regenerators honor -short)
+#   ablations  the long internal/bench ablation and proportionality
+#              tests that -short skips (~10 s)
 #   fuzz       a fixed 10 s native-fuzzing budget on each of the
 #              replay-trace and energy-profile loaders and the
 #              semantic comparator
@@ -64,6 +66,16 @@ go run ./cmd/ecllint -unused-directives ./internal/lint ./cmd/ecllint
 
 step "go test -short"
 go test -short -count=1 ./...
+
+step "long ablation tests"
+# -short skips these end-to-end experiments, and a non-short run of all of
+# internal/bench (every paper figure) outlasts go test's 10-minute default
+# timeout, so they are named here. TestAblationRTISync is left out: it is
+# known to fail. Its 2x deep-sleep bound cannot hold at 10 % load, where
+# sockets active for a of the run's T seconds sleep together for T - a when
+# aligned and at least T - 2a when staggered, a ratio of at most ~1.24
+# (ROADMAP.md item 10).
+go test -count=1 -run '^TestAblation(Elasticity|NUMA|RTI|Quantum)$|^TestProportionality$' ./internal/bench
 
 step "fuzz LoadReplayCSV (10 s)"
 # A fixed budget of native fuzzing over the replay-trace loader: it must
