@@ -83,7 +83,7 @@ func renderWorkload(name string) error {
 	if err := energy.EvaluateModel(p, topo, hw.DefaultPowerParams(), wl.Characteristics(), 0); err != nil {
 		return err
 	}
-	opt := p.MostEfficient()
+	opt := p.MostEfficient(0)
 	fmt.Printf("workload %s: %d configurations, optimal %s (eff %.3g instr/J)\n",
 		name, p.Size(), opt.Config, opt.Efficiency())
 	fmt.Println("skyline (performance level -> efficiency level):")

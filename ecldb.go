@@ -350,7 +350,7 @@ func Profile(workloadName string) ([]ProfilePoint, error) {
 		onSky[e] = true
 	}
 	maxScore := p.MaxScore()
-	maxEff := p.MostEfficient().Efficiency()
+	maxEff := p.MostEfficient(0).Efficiency()
 	var out []ProfilePoint
 	for _, e := range p.Entries() {
 		if e.Config.Idle() {

@@ -471,14 +471,12 @@ func Table1(d time.Duration) (Table1Result, error) {
 	var combos []combo
 	for i, wl := range wls {
 		capacity := capacities[i]
-		for _, lp := range []struct {
-			name string
-			load loadprofile.Profile
-		}{
-			{"spike", loadprofile.Spike{PeakQps: capacity * spikeOverloadFactor, Len: d}},
-			{"twitter", loadprofile.Twitter{BaseQps: capacity * twitterBaseFactor, Len: d}},
-		} {
-			combos = append(combos, combo{workload: wl.Name(), profile: lp.name, capacity: capacity, load: lp.load})
+		for _, profile := range table1Profiles {
+			load, err := table1Load(profile, capacity, d)
+			if err != nil {
+				return out, err
+			}
+			combos = append(combos, combo{workload: wl.Name(), profile: profile, capacity: capacity, load: load})
 		}
 	}
 
@@ -487,37 +485,55 @@ func Table1(d time.Duration) (Table1Result, error) {
 	for _, c := range combos {
 		c := c
 		runJobs = append(runJobs,
-			func() (*sim.Result, error) {
-				return sim.Run(sim.Options{
-					Workload: workload.ByName(c.workload), Load: c.load,
-					Governor: sim.GovernorBaseline, Seed: 21,
-				})
-			},
-			func() (*sim.Result, error) {
-				return sim.Run(sim.Options{
-					Workload: workload.ByName(c.workload), Load: c.load,
-					Governor: sim.GovernorECL, Prewarm: true, Seed: 21,
-				})
-			})
+			func() (*sim.Result, error) { return sim.Run(table1Opts(c.workload, c.load, sim.GovernorBaseline)) },
+			func() (*sim.Result, error) { return sim.Run(table1Opts(c.workload, c.load, sim.GovernorECL)) })
 	}
 	runs, err := Sweep(runJobs)
 	if err != nil {
 		return out, err
 	}
 	for i, c := range combos {
-		base, eclRes := runs[2*i], runs[2*i+1]
-		out.Rows = append(out.Rows, Table1Row{
-			Workload:      c.workload,
-			LoadProfile:   c.profile,
-			CapacityQps:   c.capacity,
-			BaselineJ:     base.EnergyJ.Joules(),
-			ECLJ:          eclRes.EnergyJ.Joules(),
-			Savings:       1 - eclRes.EnergyJ.Div(base.EnergyJ),
-			BestConfig:    eclRes.MostApplied,
-			ViolationFrac: eclRes.ViolationFrac,
-		})
+		out.Rows = append(out.Rows, table1Row(c.workload, c.profile, c.capacity, runs[2*i], runs[2*i+1]))
 	}
 	return out, nil
+}
+
+// table1Profiles names Table 1's load profiles in column order.
+var table1Profiles = [...]string{"spike", "twitter"}
+
+// table1Load builds the named Table 1 load profile of length d, scaled to
+// the workload's capacity.
+func table1Load(profile string, capacity float64, d time.Duration) (loadprofile.Profile, error) {
+	switch profile {
+	case "spike":
+		return loadprofile.Spike{PeakQps: capacity * spikeOverloadFactor, Len: d}, nil
+	case "twitter":
+		return loadprofile.Twitter{BaseQps: capacity * twitterBaseFactor, Len: d}, nil
+	}
+	return nil, fmt.Errorf("bench: unknown load profile %q", profile)
+}
+
+// table1Opts configures one of a Table 1 cell's two seeded runs; the ECL
+// run starts from a prewarmed profile.
+func table1Opts(workloadName string, load loadprofile.Profile, gov sim.Governor) sim.Options {
+	return sim.Options{
+		Workload: workload.ByName(workloadName), Load: load,
+		Governor: gov, Prewarm: gov == sim.GovernorECL, Seed: 21,
+	}
+}
+
+// table1Row assembles one Table 1 cell from its baseline and ECL runs.
+func table1Row(workloadName, profile string, capacity float64, base, eclRes *sim.Result) Table1Row {
+	return Table1Row{
+		Workload:      workloadName,
+		LoadProfile:   profile,
+		CapacityQps:   capacity,
+		BaselineJ:     base.EnergyJ.Joules(),
+		ECLJ:          eclRes.EnergyJ.Joules(),
+		Savings:       1 - eclRes.EnergyJ.Div(base.EnergyJ),
+		BestConfig:    eclRes.MostApplied,
+		ViolationFrac: eclRes.ViolationFrac,
+	}
 }
 
 // Table1SingleRow computes one workload x load-profile cell of Table 1
@@ -549,26 +565,15 @@ func table1SingleRow(workloadName, profile string, d time.Duration, meter bool) 
 	if err != nil {
 		return Table1Row{}, err
 	}
-	var load loadprofile.Profile
-	switch profile {
-	case "spike":
-		load = loadprofile.Spike{PeakQps: capacity * spikeOverloadFactor, Len: d}
-	case "twitter":
-		load = loadprofile.Twitter{BaseQps: capacity * twitterBaseFactor, Len: d}
-	default:
-		return Table1Row{}, fmt.Errorf("bench: unknown load profile %q", profile)
-	}
-	base, err := sim.Run(sim.Options{
-		Workload: workload.ByName(workloadName), Load: load,
-		Governor: sim.GovernorBaseline, Seed: 21,
-	})
+	load, err := table1Load(profile, capacity, d)
 	if err != nil {
 		return Table1Row{}, err
 	}
-	eclOpts := sim.Options{
-		Workload: workload.ByName(workloadName), Load: load,
-		Governor: sim.GovernorECL, Prewarm: true, Seed: 21,
+	base, err := sim.Run(table1Opts(workloadName, load, sim.GovernorBaseline))
+	if err != nil {
+		return Table1Row{}, err
 	}
+	eclOpts := table1Opts(workloadName, load, sim.GovernorECL)
 	if meter {
 		// Meter only — no event log, no registry. The benchmark pair
 		// isolates the attribution layer's accrual cost; the decision
@@ -579,16 +584,7 @@ func table1SingleRow(workloadName, profile string, d time.Duration, meter bool) 
 	if err != nil {
 		return Table1Row{}, err
 	}
-	return Table1Row{
-		Workload:      workloadName,
-		LoadProfile:   profile,
-		CapacityQps:   capacity,
-		BaselineJ:     base.EnergyJ.Joules(),
-		ECLJ:          eclRes.EnergyJ.Joules(),
-		Savings:       1 - eclRes.EnergyJ.Div(base.EnergyJ),
-		BestConfig:    eclRes.MostApplied,
-		ViolationFrac: eclRes.ViolationFrac,
-	}, nil
+	return table1Row(workloadName, profile, capacity, base, eclRes), nil
 }
 
 // SavingsFor returns the savings of one workload/profile cell.

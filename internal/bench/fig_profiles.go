@@ -60,7 +60,7 @@ func profileFor(ch perfmodel.Characteristics, gp energy.GeneratorParams) (*energ
 func summarizeProfile(name string, gp energy.GeneratorParams, p *energy.Profile) ProfileResult {
 	topo := hw.HaswellEP()
 	res := ProfileResult{Workload: name, Params: gp, Configurations: p.Size()}
-	opt := p.MostEfficient()
+	opt := p.MostEfficient(0)
 	base := p.Lookup(hw.AllMax(topo))
 	var idleW units.Watt
 	if p.Idle() != nil {

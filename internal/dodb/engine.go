@@ -110,12 +110,11 @@ type Engine struct {
 	cfg  Config
 	topo hw.Topology
 	wl   workload.Workload
-	// perSocket and versioned are wl's optional interfaces, asserted
-	// once per install: an assertion to an interface type on the step
-	// path fills a per-site runtime cache, which allocates at random
-	// calls until every dynamic type seen there is cached.
+	// perSocket is wl's optional interface, asserted once per install:
+	// an assertion to an interface type on the step path fills a
+	// per-site runtime cache, which allocates at random calls until
+	// every dynamic type seen there is cached.
 	perSocket workload.PerSocketWorkload
-	versioned workload.Versioned
 	// opScratch is the op buffer query generation appends into; it is
 	// reused for every query.
 	opScratch []workload.Op
@@ -251,7 +250,6 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) install(wl workload.Workload) error {
 	e.wl = wl
 	e.perSocket, _ = wl.(workload.PerSocketWorkload)
-	e.versioned, _ = wl.(workload.Versioned)
 	e.charEpoch++
 	n := e.topo.TotalThreads()
 	e.parts = make([]workload.PartitionState, n)
@@ -316,18 +314,11 @@ func (e *Engine) CommMessages() int64 { return e.commMessages }
 func (e *Engine) Utilization(socket int) float64 { return e.lastUtil[socket] }
 
 // CharacteristicsEpoch returns a value that changes whenever the result
-// of SocketCharacteristics can change: on every workload install (New,
-// SwitchWorkload) and, for workloads whose characteristics drift at
-// runtime (workload.Versioned), whenever their version moves. Callers key
-// capacity caches on it; two equal values guarantee identical
-// characteristics for every socket.
-func (e *Engine) CharacteristicsEpoch() uint64 {
-	ep := e.charEpoch << 32
-	if e.versioned != nil {
-		ep += e.versioned.CharacteristicsVersion()
-	}
-	return ep
-}
+// of SocketCharacteristics can change: the count of workload installs
+// (New, SwitchWorkload). Every workload's characteristics are static
+// between installs. Callers key capacity caches on it; two equal values
+// guarantee identical characteristics for every socket.
+func (e *Engine) CharacteristicsEpoch() uint64 { return e.charEpoch }
 
 // Quiescent reports whether the engine holds no work whatsoever: no
 // queries in flight, no undelivered messages, no budget debt carried by

@@ -34,14 +34,6 @@ type LatencyTracker struct {
 
 	threshold time.Duration
 	overCount int64
-
-	// Fixed-bucket histogram over the window (bounds from
-	// QueryLatencyBuckets plus an overflow bucket). Counts are maintained
-	// incrementally — incremented on Record, decremented on evict — so
-	// EstimatedPercentile is O(buckets) instead of the O(n log n) sort of
-	// the exact Percentile.
-	histBounds []time.Duration
-	histCounts []int64
 }
 
 // NewLatencyTracker creates a tracker with the given sliding window.
@@ -49,20 +41,11 @@ func NewLatencyTracker(window time.Duration) *LatencyTracker {
 	if window <= 0 {
 		window = time.Second
 	}
-	bounds := make([]time.Duration, len(QueryLatencyBuckets))
-	for i, ms := range QueryLatencyBuckets {
-		bounds[i] = time.Duration(ms * float64(time.Millisecond))
-	}
-	return &LatencyTracker{
-		window:     window,
-		histBounds: bounds,
-		histCounts: make([]int64, len(bounds)+1),
-	}
+	return &LatencyTracker{window: window}
 }
 
 // Record adds a completed query.
 func (lt *LatencyTracker) Record(latency, now time.Duration) {
-	lt.histCounts[lt.bucket(latency)]++
 	*lt.win.Push() = latencySample{at: now, latency: latency}
 	lt.winSum += latency
 	lt.total++
@@ -70,17 +53,6 @@ func (lt *LatencyTracker) Record(latency, now time.Duration) {
 		lt.overCount++
 	}
 	lt.evict(now)
-}
-
-// bucket returns the histogram bucket of a latency: the first bound it
-// does not exceed, or the overflow bucket.
-func (lt *LatencyTracker) bucket(latency time.Duration) int {
-	for i, ub := range lt.histBounds {
-		if latency <= ub {
-			return i
-		}
-	}
-	return len(lt.histBounds)
 }
 
 // SetThreshold arms a lifetime counter of queries exceeding the given
@@ -98,7 +70,6 @@ func (lt *LatencyTracker) OverThreshold() int64 { return lt.overCount }
 func (lt *LatencyTracker) evict(now time.Duration) {
 	cutoff := now - lt.window
 	for s := lt.win.Front(); s != nil && s.at < cutoff; s = lt.win.Front() {
-		lt.histCounts[lt.bucket(s.latency)]--
 		lt.winSum -= s.latency
 		lt.win.Pop()
 	}
@@ -208,47 +179,6 @@ func quickselect(lats []time.Duration, k int) time.Duration {
 		}
 	}
 	return lats[lo]
-}
-
-// EstimatedPercentile returns the p-quantile (0..1) latency over the
-// window from the fixed-bucket histogram, with linear interpolation
-// inside the matched bucket. Estimates in the overflow bucket clamp to
-// the top bound. Cheaper than the exact sort-based Percentile — O(one
-// bucket scan) — which makes it suitable for per-sample gauges; the
-// trade is bucket-resolution accuracy (bounds from QueryLatencyBuckets).
-func (lt *LatencyTracker) EstimatedPercentile(now time.Duration, p float64) time.Duration {
-	lt.evict(now)
-	n := int64(lt.win.Len())
-	if n == 0 {
-		return 0
-	}
-	rank := int64(p * float64(n))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	var cum int64
-	for i, c := range lt.histCounts {
-		if c <= 0 {
-			continue
-		}
-		if cum+c >= rank {
-			if i == len(lt.histBounds) {
-				return lt.histBounds[len(lt.histBounds)-1]
-			}
-			lower := time.Duration(0)
-			if i > 0 {
-				lower = lt.histBounds[i-1]
-			}
-			upper := lt.histBounds[i]
-			frac := float64(rank-cum) / float64(c)
-			return lower + time.Duration(float64(upper-lower)*frac)
-		}
-		cum += c
-	}
-	return 0
 }
 
 // Trend returns the latency slope in (latency seconds) per (wall second)

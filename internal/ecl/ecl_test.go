@@ -141,7 +141,7 @@ func TestSystemECLNoQueries(t *testing.T) {
 func TestSocketECLSelectsOptimalUnderModerateLoad(t *testing.T) {
 	w := newWorld(1.0)
 	s := prewarmedECL(t, w, MaintainOnline)
-	opt := s.Profile().MostEfficient()
+	opt := s.Profile().MostEfficient(0)
 
 	// Report a utilization that lands the demand in the under zone and
 	// plenty of latency headroom: the loop must RTI against the optimal
@@ -285,7 +285,7 @@ func TestSocketECLOnlineAdaptationMeasures(t *testing.T) {
 	// it back toward truth. (Perturbing it to look worse would make the
 	// loop stop applying it — the online strategy's known blind spot,
 	// which multiplexed adaptation exists to cover.)
-	opt := s.Profile().MostEfficient()
+	opt := s.Profile().MostEfficient(0)
 	truthPower, truthScore := opt.PowerW, opt.Score
 	opt.PowerW *= 0.5
 	// Steady (non-RTI) operation at a demand the optimal entry serves:
@@ -364,7 +364,7 @@ func TestSocketECLBootstrapsViaMultiplexed(t *testing.T) {
 	if s.AdaptPending() != 0 {
 		t.Fatal("bootstrap did not complete")
 	}
-	if s.Profile().MostEfficient() == nil {
+	if s.Profile().MostEfficient(0) == nil {
 		t.Fatal("no optimal entry after bootstrap")
 	}
 }

@@ -404,7 +404,7 @@ func (s *SocketECL) buildPlan(ttv time.Duration) {
 		if s.opts.PowerCapW > 0 {
 			// Under a power cap the ramp-up stops at the fastest
 			// configuration that fits: the cap outranks the latency limit.
-			if e := s.profile.ForPerformanceCapped(capacity*2, s.opts.PowerCapW); e != nil {
+			if e := s.profile.ForPerformance(capacity*2, s.opts.PowerCapW); e != nil {
 				cfg, capacity = e.Config, e.Score
 			}
 		}
@@ -466,7 +466,7 @@ func (s *SocketECL) buildPlan(ttv time.Duration) {
 	if remaining > 0 && remaining < interval {
 		target = target.Scale(float64(interval) / float64(remaining))
 	}
-	entry := s.profile.ForPerformanceCapped(target, s.opts.PowerCapW)
+	entry := s.profile.ForPerformance(target, s.opts.PowerCapW)
 	if entry == nil {
 		// Nothing evaluated yet: run everything at full throttle until
 		// the profile has substance.
@@ -476,7 +476,7 @@ func (s *SocketECL) buildPlan(ttv time.Duration) {
 		s.noteMode("bootstrap")
 		return
 	}
-	opt := s.profile.MostEfficientCapped(s.opts.PowerCapW)
+	opt := s.profile.MostEfficient(s.opts.PowerCapW)
 
 	// Race-to-idle in the under-utilization zone (Section 4.3): switch
 	// between the optimal configuration and idle. Disabled under latency

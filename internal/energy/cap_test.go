@@ -14,17 +14,13 @@ func TestForPerformanceCappedPrefersCapFit(t *testing.T) {
 	p, slow, fast := smallProfile(t)
 	// Demand only the fast entry can satisfy, but a cap only the slow
 	// entry fits under: the cap wins.
-	e := p.ForPerformanceCapped(1e10, 50)
+	e := p.ForPerformance(1e10, 50)
 	if e != slow {
 		t.Fatalf("got %+v, want the slow entry under the 50 W cap", e)
 	}
 	// Cap admits both: same answer as uncapped.
-	if e := p.ForPerformanceCapped(1e10, 200); e != fast {
+	if e := p.ForPerformance(1e10, 200); e != fast {
 		t.Fatalf("got %+v, want the fast entry under a generous cap", e)
-	}
-	// No cap: delegates to ForPerformance.
-	if e := p.ForPerformanceCapped(1e10, 0); e != p.ForPerformance(1e10) {
-		t.Fatal("capW<=0 must behave exactly like ForPerformance")
 	}
 }
 
@@ -32,33 +28,30 @@ func TestForPerformanceCappedLeastViolatingFallback(t *testing.T) {
 	p, slow, _ := smallProfile(t)
 	// Cap below every evaluated entry: the lowest-power one comes back
 	// rather than nil — the loop must keep running something.
-	if e := p.ForPerformanceCapped(1, 10); e != slow {
+	if e := p.ForPerformance(1, 10); e != slow {
 		t.Fatalf("got %+v, want the lowest-power entry as fallback", e)
 	}
 }
 
 func TestMostEfficientCapped(t *testing.T) {
 	p, slow, fast := smallProfile(t)
-	if e := p.MostEfficientCapped(0); e != p.MostEfficient() {
-		t.Fatal("capW<=0 must behave exactly like MostEfficient")
-	}
-	if e := p.MostEfficientCapped(200); e != slow {
+	if e := p.MostEfficient(200); e != slow {
 		t.Fatalf("got %+v, want the slow entry (highest efficiency)", e)
 	}
 	// Exclude the efficient entry; the fast one is all that remains.
 	fast.PowerW, slow.PowerW = 150, 200
-	if e := p.MostEfficientCapped(160); e != fast {
+	if e := p.MostEfficient(160); e != fast {
 		t.Fatalf("got %+v, want the fast entry once slow exceeds the cap", e)
 	}
-	if e := p.MostEfficientCapped(10); e != nil {
+	if e := p.MostEfficient(10); e != nil {
 		t.Fatalf("got %+v, want nil when nothing fits under the cap", e)
 	}
 }
 
-// Property: over random measurement sets, ForPerformanceCapped (a) never
+// Property: over random measurement sets, capped ForPerformance (a) never
 // exceeds the cap when any entry fits under it, (b) satisfies the demand
 // whenever some under-cap entry does, and in that case (c) returns the
-// most efficient such entry; MostEfficientCapped is the efficiency argmax
+// most efficient such entry; capped MostEfficient is the efficiency argmax
 // of the under-cap subset.
 func TestCappedSelectionProperties(t *testing.T) {
 	cfgs, err := Generate(topo, DefaultGeneratorParams())
@@ -81,7 +74,7 @@ func TestCappedSelectionProperties(t *testing.T) {
 		}
 		capW := units.WattsOf(20 + 320*rng.Float64())
 		demand := units.HertzOf(5e9 * rng.Float64())
-		got := p.ForPerformanceCapped(demand, capW)
+		got := p.ForPerformance(demand, capW)
 
 		var underCap, meets []*Entry
 		for _, e := range p.Entries() {
@@ -108,7 +101,7 @@ func TestCappedSelectionProperties(t *testing.T) {
 				}
 			}
 		}
-		opt := p.MostEfficientCapped(capW)
+		opt := p.MostEfficient(capW)
 		if (opt == nil) != (len(underCap) == 0) {
 			return false
 		}

@@ -37,7 +37,7 @@ func TestProfileSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// The loaded profile is functional.
-	if got.MostEfficient() == nil || got.MostEfficient().Config.String() != p.MostEfficient().Config.String() {
+	if got.MostEfficient(0) == nil || got.MostEfficient(0).Config.String() != p.MostEfficient(0).Config.String() {
 		t.Error("loaded profile has a different optimum")
 	}
 }

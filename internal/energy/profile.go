@@ -163,12 +163,13 @@ func checkMeasurement(powerW units.Watt, score units.Hertz, at time.Duration) er
 }
 
 // MostEfficient returns the evaluated non-idle entry with the highest
-// energy efficiency — the optimal zone. It returns nil if nothing is
-// evaluated yet.
-func (p *Profile) MostEfficient() *Entry {
+// energy efficiency — the optimal zone — among those whose measured power
+// stays at or below capW. capW <= 0 means no cap. It returns nil if no
+// evaluated entry fits under the cap (or nothing is evaluated yet).
+func (p *Profile) MostEfficient(capW units.Watt) *Entry {
 	var best *Entry
 	for _, e := range p.entries {
-		if !e.Evaluated || e.Config.Idle() {
+		if !e.Evaluated || e.Config.Idle() || (capW > 0 && e.PowerW > capW) {
 			continue
 		}
 		if best == nil || e.Efficiency() > best.Efficiency() {
@@ -191,7 +192,7 @@ func (p *Profile) MaxScore() units.Hertz {
 
 // ZoneOf classifies an entry against the current optimal entry.
 func (p *Profile) ZoneOf(e *Entry) Zone {
-	opt := p.MostEfficient()
+	opt := p.MostEfficient(0)
 	if opt == nil || e == opt {
 		return ZoneOptimal
 	}
@@ -255,41 +256,15 @@ func (p *Profile) Skyline() []*Entry {
 }
 
 // ForPerformance returns the most energy-efficient evaluated entry whose
-// score satisfies the demanded performance level (instructions/s). If no
-// entry delivers the demand, the highest-scoring entry is returned
-// (best-effort, the over-utilization edge). Returns nil when nothing is
-// evaluated.
-func (p *Profile) ForPerformance(demand units.Hertz) *Entry {
-	var best, fastest *Entry
-	for _, e := range p.entries {
-		if !e.Evaluated || e.Config.Idle() {
-			continue
-		}
-		if fastest == nil || e.Score > fastest.Score {
-			fastest = e
-		}
-		if e.Score >= demand {
-			if best == nil || e.Efficiency() > best.Efficiency() {
-				best = e
-			}
-		}
-	}
-	if best != nil {
-		return best
-	}
-	return fastest
-}
-
-// ForPerformanceCapped is ForPerformance under a socket power cap: only
-// entries whose measured power stays at or below capW are eligible. If no
-// eligible entry delivers the demand, the highest-scoring entry under the
-// cap is returned (the cap is a hard constraint, the demand is not). If
-// nothing evaluated fits under the cap, the lowest-power evaluated entry
-// is returned as the least-violating fallback. capW <= 0 means no cap.
-func (p *Profile) ForPerformanceCapped(demand units.Hertz, capW units.Watt) *Entry {
-	if capW <= 0 {
-		return p.ForPerformance(demand)
-	}
+// score satisfies the demanded performance level (instructions/s), among
+// the entries whose measured power stays at or below the socket power cap
+// capW; capW <= 0 means no cap. If no eligible entry delivers the demand,
+// the highest-scoring eligible entry is returned (best-effort, the
+// over-utilization edge: the cap is a hard constraint, the demand is
+// not). If nothing evaluated fits under the cap, the lowest-power
+// evaluated entry is returned as the least-violating fallback. Returns
+// nil when nothing is evaluated.
+func (p *Profile) ForPerformance(demand units.Hertz, capW units.Watt) *Entry {
 	var best, fastest, coolest *Entry
 	for _, e := range p.entries {
 		if !e.Evaluated || e.Config.Idle() {
@@ -298,7 +273,7 @@ func (p *Profile) ForPerformanceCapped(demand units.Hertz, capW units.Watt) *Ent
 		if coolest == nil || e.PowerW < coolest.PowerW {
 			coolest = e
 		}
-		if e.PowerW > capW {
+		if capW > 0 && e.PowerW > capW {
 			continue
 		}
 		if fastest == nil || e.Score > fastest.Score {
@@ -317,25 +292,6 @@ func (p *Profile) ForPerformanceCapped(demand units.Hertz, capW units.Watt) *Ent
 		return fastest
 	}
 	return coolest
-}
-
-// MostEfficientCapped is MostEfficient restricted to entries whose
-// measured power stays at or below capW. capW <= 0 means no cap. Returns
-// nil when no evaluated entry fits under the cap.
-func (p *Profile) MostEfficientCapped(capW units.Watt) *Entry {
-	if capW <= 0 {
-		return p.MostEfficient()
-	}
-	var best *Entry
-	for _, e := range p.entries {
-		if !e.Evaluated || e.Config.Idle() || e.PowerW > capW {
-			continue
-		}
-		if best == nil || e.Efficiency() > best.Efficiency() {
-			best = e
-		}
-	}
-	return best
 }
 
 // Stale returns the evaluated entries whose last evaluation is at least

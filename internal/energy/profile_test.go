@@ -148,7 +148,7 @@ func TestRescaleStale(t *testing.T) {
 
 func TestMostEfficientAndZones(t *testing.T) {
 	p, slow, fast := smallProfile(t)
-	if got := p.MostEfficient(); got != slow {
+	if got := p.MostEfficient(0); got != slow {
 		t.Fatalf("MostEfficient = %+v, want the slow/efficient entry", got)
 	}
 	if z := p.ZoneOf(slow); z != ZoneOptimal {
@@ -173,22 +173,22 @@ func TestZoneString(t *testing.T) {
 func TestForPerformance(t *testing.T) {
 	p, slow, fast := smallProfile(t)
 	// Low demand: the efficient entry satisfies it.
-	if got := p.ForPerformance(1e9); got != slow {
+	if got := p.ForPerformance(1e9, 0); got != slow {
 		t.Errorf("ForPerformance(low) = %v, want slow entry", got.Config)
 	}
 	// Demand beyond the slow entry: only the fast one qualifies.
-	if got := p.ForPerformance(1e10); got != fast {
+	if got := p.ForPerformance(1e10, 0); got != fast {
 		t.Errorf("ForPerformance(high) = %v, want fast entry", got.Config)
 	}
 	// Demand beyond everything: best effort returns the fastest.
-	if got := p.ForPerformance(1e12); got != fast {
+	if got := p.ForPerformance(1e12, 0); got != fast {
 		t.Errorf("ForPerformance(overload) = %v, want fastest entry", got.Config)
 	}
 }
 
 func TestForPerformanceEmptyProfile(t *testing.T) {
 	p := NewProfile(topo, []hw.Configuration{hw.NewConfiguration(topo)})
-	if got := p.ForPerformance(1); got != nil {
+	if got := p.ForPerformance(1, 0); got != nil {
 		t.Errorf("ForPerformance on unevaluated profile = %v, want nil", got)
 	}
 }
@@ -214,7 +214,7 @@ func TestSkylineParetoProperty(t *testing.T) {
 			peak = i
 		}
 	}
-	if opt := p.MostEfficient(); sky[peak] != opt {
+	if opt := p.MostEfficient(0); sky[peak] != opt {
 		t.Fatalf("skyline peak %s is not the optimal entry %s", sky[peak].Config, opt.Config)
 	}
 	for i := 1; i <= peak; i++ {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -148,5 +149,87 @@ func TestObserverRingCapped(t *testing.T) {
 	if ob.Log.Total() <= 256 || ob.Log.Dropped() == 0 {
 		t.Fatalf("total %d dropped %d: eviction accounting wrong",
 			ob.Log.Total(), ob.Log.Dropped())
+	}
+}
+
+// latencyGaugeHook checks, at every trace sample, that the latency gauges
+// are the window's exact quantiles: p99 the value the latency_p99_ms
+// series just recorded, p50 and p95 the tracker's Percentile at now. It
+// keeps each gauge's mismatch count and its largest mismatch.
+type latencyGaugeHook struct {
+	s       *Sim
+	samples int
+	maxP99  float64
+	bad     [3]gaugeMismatch
+}
+
+type gaugeMismatch struct {
+	n              int
+	at             time.Duration
+	got, want, gap float64
+}
+
+var latencyGauges = [3]string{"dodb_latency_p50_ms", "dodb_latency_p95_ms", "dodb_latency_p99_ms"}
+
+func (h *latencyGaugeHook) OnSample(now time.Duration) {
+	h.samples++
+	lt := h.s.engine.Latency()
+	series := h.s.rec.Series("latency_p99_ms").Values
+	want := [3]float64{
+		float64(lt.Percentile(now, 0.50)) / float64(time.Millisecond),
+		float64(lt.Percentile(now, 0.95)) / float64(time.Millisecond),
+		series[len(series)-1],
+	}
+	for i, name := range latencyGauges {
+		got, _ := h.s.opts.Obs.Reg().Value(name)
+		if got == want[i] {
+			continue
+		}
+		b := &h.bad[i]
+		b.n++
+		if gap := math.Abs(got - want[i]); gap > b.gap {
+			b.at, b.got, b.want, b.gap = now, got, want[i], gap
+		}
+	}
+	h.maxP99 = max(h.maxP99, want[2])
+}
+
+func (h *latencyGaugeHook) OnDone(time.Duration) {}
+
+// TestLatencyGaugesAreWindowQuantiles overloads kv non-indexed at 1.5x
+// its capacity, so the backlog drives window latencies past 1 s, and
+// checks the served latency gauges against the tracker at every sample.
+func TestLatencyGaugesAreWindowQuantiles(t *testing.T) {
+	capacity, err := MeasureCapacity(workload.NewKV(false), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &latencyGaugeHook{}
+	s, err := New(Options{
+		Workload: workload.NewKV(false),
+		Load:     loadprofile.Constant{Qps: 1.5 * capacity, Len: 6 * time.Second},
+		Governor: GovernorBaseline,
+		Seed:     7,
+		Obs:      obs.New(0),
+		Hook:     h,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.s = s
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if h.samples < 10 {
+		t.Fatalf("hook saw %d samples, want a per-sample check", h.samples)
+	}
+	if h.maxP99 <= 1000 {
+		t.Fatalf("window p99 peaked at %.0f ms; the overload must push it past 1 s", h.maxP99)
+	}
+	for i, b := range h.bad {
+		if b.n > 0 {
+			t.Errorf("%s differs at %d of %d samples; worst at %v: %v, want %v",
+				latencyGauges[i], b.n, h.samples, b.at, b.got, b.want)
+		}
 	}
 }

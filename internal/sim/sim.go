@@ -334,9 +334,10 @@ func (s *Sim) attachObserver(ob *obs.Observer) {
 	reg := ob.Reg()
 	s.obsInflight = reg.Gauge("dodb_inflight")
 	s.obsThreads = reg.Gauge("hw_active_threads")
-	// Windowed latency tail estimates (the paper's soft-limit story is
-	// about the distribution tail, not the mean): fixed-bucket estimates
-	// from the LatencyTracker histogram, refreshed per trace sample.
+	// Windowed latency quantiles (the paper's soft-limit story is about
+	// the distribution tail, not the mean): the LatencyTracker's exact
+	// order statistics, refreshed per trace sample. The p99 gauge is the
+	// latency_p99_ms series value.
 	s.obsLatP50 = reg.Gauge("dodb_latency_p50_ms")
 	s.obsLatP95 = reg.Gauge("dodb_latency_p95_ms")
 	s.obsLatP99 = reg.Gauge("dodb_latency_p99_ms")
@@ -1102,7 +1103,8 @@ func (s *Sim) sample(t time.Duration) {
 	s.rec.Add("power_psu_w", t, psuW.Watts())
 	lt := s.engine.Latency()
 	s.rec.Add("latency_avg_ms", t, float64(lt.Average(now))/float64(time.Millisecond))
-	s.rec.Add("latency_p99_ms", t, float64(lt.Percentile(now, 0.99))/float64(time.Millisecond))
+	p99Ms := float64(lt.Percentile(now, 0.99)) / float64(time.Millisecond)
+	s.rec.Add("latency_p99_ms", t, p99Ms)
 	activeThreads := 0
 	for sock := 0; sock < s.topo.Sockets; sock++ {
 		eff := s.machine.Effective(sock)
@@ -1119,9 +1121,13 @@ func (s *Sim) sample(t time.Duration) {
 	s.obsPowerRapl.Set(raplW.Watts())
 	s.obsPowerPSU.Set(psuW.Watts())
 	s.obsLoadQPS.Set(s.opts.Load.QPS(t))
-	s.obsLatP50.Set(float64(lt.EstimatedPercentile(now, 0.50)) / float64(time.Millisecond))
-	s.obsLatP95.Set(float64(lt.EstimatedPercentile(now, 0.95)) / float64(time.Millisecond))
-	s.obsLatP99.Set(float64(lt.EstimatedPercentile(now, 0.99)) / float64(time.Millisecond))
+	s.obsLatP99.Set(p99Ms)
+	if s.obsLatP50 != nil {
+		// Two more selections over the window, paid only when a registry
+		// exports them.
+		s.obsLatP50.Set(float64(lt.Percentile(now, 0.50)) / float64(time.Millisecond))
+		s.obsLatP95.Set(float64(lt.Percentile(now, 0.95)) / float64(time.Millisecond))
+	}
 	for sock := 0; sock < len(s.obsQueueDep); sock++ {
 		s.obsQueueDep[sock].Set(float64(s.engine.SocketPending(sock)))
 		s.obsDebtInstr[sock].Set(s.engine.BudgetDebt(sock))

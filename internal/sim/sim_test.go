@@ -152,7 +152,7 @@ func TestEvaluateProfileHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.MostEfficient() == nil || len(p.Skyline()) < 3 {
+	if p.MostEfficient(0) == nil || len(p.Skyline()) < 3 {
 		t.Error("helper produced a degenerate profile")
 	}
 }
@@ -170,7 +170,7 @@ func TestPrewarmEstablishesProfiles(t *testing.T) {
 	s.Prewarm()
 	for sock := 0; sock < 2; sock++ {
 		prof := s.Controller().Socket(sock).Profile()
-		if prof.MostEfficient() == nil {
+		if prof.MostEfficient(0) == nil {
 			t.Fatalf("socket %d profile not established", sock)
 		}
 		for _, e := range prof.Entries() {
@@ -181,7 +181,7 @@ func TestPrewarmEstablishesProfiles(t *testing.T) {
 	}
 	// The measured optimum should agree with the model-evaluated one on
 	// the uncore preference for a bandwidth-bound workload.
-	opt := s.Controller().Socket(0).Profile().MostEfficient()
+	opt := s.Controller().Socket(0).Profile().MostEfficient(0)
 	if opt.Config.UncoreMHz < 2100 {
 		t.Errorf("measured optimum uncore = %d, want high for scans", opt.Config.UncoreMHz)
 	}
@@ -246,8 +246,8 @@ func TestProfileSaveLoadAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for sock := 0; sock < 2; sock++ {
-		want := first.Controller().Socket(sock).Profile().MostEfficient()
-		got := second.Controller().Socket(sock).Profile().MostEfficient()
+		want := first.Controller().Socket(sock).Profile().MostEfficient(0)
+		got := second.Controller().Socket(sock).Profile().MostEfficient(0)
 		if got == nil || !got.Config.Equal(want.Config, 2) {
 			t.Fatalf("socket %d: restored optimum differs", sock)
 		}
@@ -287,8 +287,8 @@ func TestPerSocketProfilesDiverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Prewarm()
-	opt0 := s.Controller().Socket(0).Profile().MostEfficient() // indexed side
-	opt1 := s.Controller().Socket(1).Profile().MostEfficient() // scan side
+	opt0 := s.Controller().Socket(0).Profile().MostEfficient(0) // indexed side
+	opt1 := s.Controller().Socket(1).Profile().MostEfficient(0) // scan side
 	if opt0 == nil || opt1 == nil {
 		t.Fatal("profiles not established")
 	}

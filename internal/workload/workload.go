@@ -61,16 +61,6 @@ type Workload interface {
 	AppendQuery(dst []Op, rng *rand.Rand, parts int) []Op
 }
 
-// Versioned is implemented by workloads whose Characteristics drift at
-// runtime (e.g. a blend whose mix ratio follows the query stream). The
-// version must advance whenever a subsequent Characteristics call could
-// return a different value; it feeds dodb.Engine.CharacteristicsEpoch so
-// capacity caches invalidate on drift. All workloads in this package have
-// static characteristics and do not implement it.
-type Versioned interface {
-	CharacteristicsVersion() uint64
-}
-
 // All returns every workload of the evaluation in Table 1 order: the three
 // benchmarks, each indexed then non-indexed.
 func All() []Workload {

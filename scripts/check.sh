@@ -15,11 +15,15 @@
 #   fuzz       a fixed 10 s native-fuzzing budget on each of the
 #              replay-trace and energy-profile loaders and the
 #              semantic comparator
-#   race      the byte-identical determinism test under the race
-#              detector, proving the core is goroutine-free at runtime,
-#              plus the parallel-vs-sequential sweep byte-identity test,
+#   race       the byte-identical determinism test under the race
+#              detector, proving the core is goroutine-free at runtime;
+#              the production-vs-reference step-path, query-trace,
+#              serving-surface and energy-attribution tests, raced; and
+#              the parallel-vs-sequential sweep byte-identity test,
 #              proving the bench orchestrator's fan-out changes nothing
 #              but wall-clock
+#   relock     relock.sh --check: a figure subset on both step paths,
+#              diffed by the semantic comparator
 #
 # Every step reports its elapsed wall seconds, and the script its total.
 set -euo pipefail
