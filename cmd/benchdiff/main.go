@@ -23,6 +23,10 @@
 // is a clean no-op — the first CI run after a snapshot-schema change has
 // nothing to diff.
 //
+// A snapshot that cannot be compared is an error (exit 2), never a
+// panic: a benchmark with a non-positive ns/op or iteration count, a
+// negative bytes/op or allocs/op, or a name that appears twice.
+//
 // -fail-over N exits nonzero when any benchmark's ns/op regressed by
 // more than N percent; the default 0 never fails.
 package main
@@ -72,9 +76,38 @@ func load(path string) (*snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	s, err := parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// parse decodes a snapshot and rejects one that diff cannot compare: a
+// benchmark with a non-positive ns/op (which would invert a delta's sign
+// or divide by zero) or iteration count, a negative bytes/op or
+// allocs/op, or a name that appears twice (the second would silently
+// replace the first).
+func parse(data []byte) (*snapshot, error) {
 	var s snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
+	}
+	seen := make(map[string]bool, len(s.Benchmarks))
+	for _, b := range s.Benchmarks {
+		switch {
+		case seen[b.Name]:
+			return nil, fmt.Errorf("benchmark %q appears twice", b.Name)
+		case b.NsPerOp <= 0:
+			return nil, fmt.Errorf("benchmark %q: ns_per_op %g is not positive", b.Name, b.NsPerOp)
+		case b.Iterations <= 0:
+			return nil, fmt.Errorf("benchmark %q: iterations %d is not positive", b.Name, b.Iterations)
+		case b.BytesPerOp != nil && *b.BytesPerOp < 0:
+			return nil, fmt.Errorf("benchmark %q: bytes_per_op %g is negative", b.Name, *b.BytesPerOp)
+		case b.AllocsPerOp != nil && *b.AllocsPerOp < 0:
+			return nil, fmt.Errorf("benchmark %q: allocs_per_op %g is negative", b.Name, *b.AllocsPerOp)
+		}
+		seen[b.Name] = true
 	}
 	return &s, nil
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -225,4 +227,70 @@ func TestPickByAncestry(t *testing.T) {
 	if got := snapshotCommit("BENCH_2026-08-08.json"); got != "" {
 		t.Errorf("snapshotCommit of a bare date = %q, want empty", got)
 	}
+}
+
+// TestParseRejectsUncomparableSnapshots pins each rule parse enforces:
+// every input below would otherwise load and reach diff.
+func TestParseRejectsUncomparableSnapshots(t *testing.T) {
+	for _, c := range []struct{ name, bench, want string }{
+		{"zero ns/op", `{"name": "BenchmarkA", "iterations": 1, "ns_per_op": 0}`, "ns_per_op"},
+		{"negative ns/op", `{"name": "BenchmarkA", "iterations": 1, "ns_per_op": -5}`, "ns_per_op"},
+		{"zero iterations", `{"name": "BenchmarkA", "iterations": 0, "ns_per_op": 5}`, "iterations"},
+		{"negative iterations", `{"name": "BenchmarkA", "iterations": -1, "ns_per_op": 5}`, "iterations"},
+		{"negative bytes/op", `{"name": "BenchmarkA", "iterations": 1, "ns_per_op": 5, "bytes_per_op": -1}`, "bytes_per_op"},
+		{"negative allocs/op", `{"name": "BenchmarkA", "iterations": 1, "ns_per_op": 5, "allocs_per_op": -1}`, "allocs_per_op"},
+		{"duplicate name", `{"name": "BenchmarkA", "iterations": 1, "ns_per_op": 5},
+			{"name": "BenchmarkA", "iterations": 1, "ns_per_op": 9}`, "twice"},
+	} {
+		_, err := parse([]byte(`{"benchmarks": [` + c.bench + `]}`))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: parse error = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	if _, err := parse([]byte(oldSnap)); err != nil {
+		t.Errorf("a valid snapshot was rejected: %v", err)
+	}
+}
+
+// TestCommittedSnapshotsLoad asserts every BENCH_*.json at the repository
+// root passes parse's rules, so benchdiff can compare any two of them.
+func TestCommittedSnapshotsLoad(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed snapshots found")
+	}
+	for _, p := range paths {
+		if _, err := load(p); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// FuzzLoadSnapshot asserts parse returns an error or a snapshot that diff
+// can compare, never a panic: an accepted snapshot compared with itself
+// renders without panicking and reports no regression, and it encodes to
+// JSON that parse accepts again.
+func FuzzLoadSnapshot(f *testing.F) {
+	f.Add([]byte(oldSnap))
+	f.Add([]byte(newSnap))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := parse(data)
+		if err != nil {
+			return
+		}
+		w := tabwriter.NewWriter(io.Discard, 0, 4, 2, ' ', 0)
+		if worst := diff(w, s, s); worst != 0 {
+			t.Fatalf("snapshot compared with itself regressed by %g%%", worst)
+		}
+		again, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parse(again); err != nil {
+			t.Fatalf("accepted snapshot rejected after a round trip: %v", err)
+		}
+	})
 }

@@ -1,9 +1,10 @@
 // Package storage provides the in-memory data structures of the
-// data-oriented DBMS: an open-addressing hash index, append-only typed
-// columns, partitioned tables, and a key-value store. Each partition of
-// the database owns private instances of these structures; the
-// data-oriented architecture guarantees single-writer access per
-// partition, so none of them carries internal locking.
+// data-oriented DBMS: an open-addressing hash index (which is, on its
+// own, the key-value store: each slot holds a key and its value),
+// append-only typed columns and partitioned tables. Each partition of the
+// database owns private instances of these structures; the data-oriented
+// architecture guarantees single-writer access per partition, so none of
+// them carries internal locking.
 package storage
 
 const (
@@ -28,11 +29,11 @@ const (
 )
 
 // HashIndex32 is an open-addressing (linear probing) hash index mapping
-// 4-byte keys to 4-byte values (row identifiers), packed into one uint64
-// per bucket. It is the index of every indexed point access: the KV store
-// and the key-indexed tables. Entries are never removed, so a bucket is
-// either empty or full. The zero value is not usable; call
-// NewHashIndex32.
+// 4-byte keys to 4-byte values, packed into one uint64 per bucket. It is
+// every indexed point access: the KV store, whose values sit in the
+// slots, and the key-indexed tables, whose values are row numbers.
+// Entries are never removed, so a bucket is either empty or full. The
+// zero value is not usable; call NewHashIndex32.
 type HashIndex32 struct {
 	slots  []uint64 // key<<32 | val; meaningful only where states marks full
 	states []byte
@@ -69,11 +70,21 @@ func pack(key, val uint32) uint64 { return uint64(key)<<32 | uint64(val) }
 
 // GetOrInsert returns the value stored under key, inserting val first if
 // the key is absent. It reports the resulting value and whether an insert
-// happened. One probe chain serves both outcomes — callers that would
-// otherwise look up and then insert (the KV store's upsert, a table's
-// duplicate check) save a full second walk. The growth check runs only
-// once an insert is decided, and the insert re-probes after a grow.
-func (h *HashIndex32) GetOrInsert(key, val uint32) (uint32, bool) {
+// happened. One probe chain serves both outcomes, so a table's duplicate
+// check costs no second walk.
+func (h *HashIndex32) GetOrInsert(key, val uint32) (uint32, bool) { return h.store(key, val, false) }
+
+// Upsert stores val under key: a present key's slot is overwritten in
+// place, and an absent key is inserted as by GetOrInsert. It is the KV
+// store's put, whose value lives in the slot beside its key.
+func (h *HashIndex32) Upsert(key, val uint32) { h.store(key, val, true) }
+
+// store walks key's probe chain once. A present key keeps its value, or
+// takes val when overwrite is set; an absent key is inserted with val,
+// growing the index first (and re-probing) when the insert would pass the
+// 7/8 load factor. It returns the key's resulting value and whether an
+// insert happened.
+func (h *HashIndex32) store(key, val uint32, overwrite bool) (uint32, bool) {
 	slots, states := h.slots, h.states
 	mask := uint64(len(slots) - 1)
 	hash := hashKey(uint64(key))
@@ -93,6 +104,9 @@ func (h *HashIndex32) GetOrInsert(key, val uint32) (uint32, bool) {
 			return val, true
 		case tag:
 			if uint32(slots[i]>>32) == key {
+				if overwrite {
+					slots[i] = pack(key, val)
+				}
 				return uint32(slots[i]), false
 			}
 		}
@@ -195,6 +209,15 @@ func (h *HashIndex32) grow() {
 	for i, s := range oldStates {
 		if s&slotFullBit != 0 {
 			h.put(uint32(old[i]>>32), uint32(old[i]))
+		}
+	}
+}
+
+// Range calls fn for every entry, in bucket order.
+func (h *HashIndex32) Range(fn func(key, val uint32)) {
+	for i, s := range h.states {
+		if s&slotFullBit != 0 {
+			fn(uint32(h.slots[i]>>32), uint32(h.slots[i]))
 		}
 	}
 }

@@ -55,18 +55,57 @@ func TestHashIndexGrowthKeepsEntries(t *testing.T) {
 			t.Fatalf("Get(%d) = %d,%v, want %d", i*2654435761, v, ok, i)
 		}
 	}
+	seen := 0
+	h.Range(func(key, val uint32) {
+		seen++
+		if key != val*2654435761 {
+			t.Fatalf("Range visited (%d, %d), never inserted", key, val)
+		}
+	})
+	if seen != n {
+		t.Fatalf("Range visited %d entries, want %d", seen, n)
+	}
 }
 
-// Property: the index behaves like a map with insert-if-absent semantics
-// under a random operation sequence.
+// Property: the index behaves like a map under a random sequence of
+// insert-if-absent (GetOrInsert), overwrite (Upsert) and lookup. The fixed
+// cases first pin Upsert at its edges.
 func TestHashIndexMatchesMap(t *testing.T) {
+	h := NewHashIndex32(0)
+	h.Upsert(7, 70)
+	h.Upsert(7, 71)
+	if v, ok := h.Get(7); !ok || v != 71 || h.Len() != 1 {
+		t.Fatalf("after an overwrite Get(7) = %d,%v with Len %d, want 71,true with Len 1", v, ok, h.Len())
+	}
+	buckets := len(h.slots)
+	for k := uint32(100); len(h.slots) == buckets; k++ {
+		h.Upsert(k, k)
+	}
+	h.Upsert(7, 72)
+	if v, ok := h.Get(7); !ok || v != 72 {
+		t.Fatalf("an overwrite after a grow: Get(7) = %d,%v, want 72,true", v, ok)
+	}
+	z := NewHashIndex32(4)
+	z.Upsert(0, 0)
+	if v, ok := z.Get(0); !ok || v != 0 || z.Len() != 1 {
+		t.Fatalf("Upsert(0, 0): Get(0) = %d,%v with Len %d, want 0,true with Len 1", v, ok, z.Len())
+	}
+	z.Upsert(0, 5)
+	z.Upsert(1, 0)
+	if v, _ := z.Get(0); v != 5 || z.Len() != 2 {
+		t.Fatalf("Get(0) = %d with Len %d, want 5 with Len 2", v, z.Len())
+	}
+	if v, ok := z.Get(1); !ok || v != 0 {
+		t.Fatalf("Get(1) = %d,%v, want 0,true", v, ok)
+	}
+
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := NewHashIndex32(0)
 		ref := map[uint32]uint32{}
 		for op := 0; op < 2000; op++ {
 			k := uint32(rng.Intn(300))
-			switch rng.Intn(2) {
+			switch rng.Intn(3) {
 			case 0:
 				v := rng.Uint32()
 				wantV, hit := ref[k]
@@ -77,6 +116,10 @@ func TestHashIndexMatchesMap(t *testing.T) {
 					return false
 				}
 			case 1:
+				v := rng.Uint32()
+				h.Upsert(k, v)
+				ref[k] = v
+			case 2:
 				wantV, wantOK := ref[k]
 				gotV, gotOK := h.Get(k)
 				if gotOK != wantOK || (wantOK && gotV != wantV) {

@@ -47,27 +47,3 @@ func TestMultiGetMatchesGet(t *testing.T) {
 		t.Fatalf("degenerate run: grown=%v, %d entries", grown, h.Len())
 	}
 }
-
-// TestKVStoreMultiGetMatchesGet checks the store-level batch path against
-// per-key Get.
-func TestKVStoreMultiGetMatchesGet(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	kv := NewKVStore(256)
-	for i := 0; i < 300; i++ {
-		kv.Put(uint32(rng.Intn(512)), rng.Uint32())
-	}
-	keys := make([]uint32, 61)
-	vals := make([]uint32, len(keys))
-	found := make([]bool, len(keys))
-	for i := range keys {
-		keys[i] = uint32(rng.Intn(1024))
-	}
-	kv.MultiGet(keys, vals, found)
-	for i, k := range keys {
-		wantV, wantOK := kv.Get(k)
-		if vals[i] != wantV || found[i] != wantOK {
-			t.Fatalf("MultiGet[%d] key %d = (%d,%v), Get = (%d,%v)",
-				i, k, vals[i], found[i], wantV, wantOK)
-		}
-	}
-}

@@ -64,34 +64,18 @@ func (k *KV) Characteristics() perfmodel.Characteristics {
 		HTYield: 1.1, DynScale: 0.85}
 }
 
-// kvPartition is one partition's store.
-type kvPartition struct {
-	store *storage.KVStore
-}
-
-// NewPartition implements Workload.
+// NewPartition implements Workload. A partition's state is its store, one
+// *storage.HashIndex32 whose slots hold each key with its value. Both
+// variants build the same hash-indexed store for sampled execution speed;
+// the *modeled* cost and characteristics encode the access-path
+// difference at full scale.
 func (k *KV) NewPartition(partition int, rng *rand.Rand) PartitionState {
-	// Both variants build the same hash-indexed store for sampled
-	// execution speed; the *modeled* cost and characteristics encode the
-	// access-path difference at full scale.
-	st := &kvPartition{store: storage.NewKVStore(kvRowsPerPartition)}
-	// Draw and load in fixed-size chunks: the rng stream is identical to
-	// element-wise Puts (key before value, row by row), and the scratch
-	// buffers stay cache-sized instead of allocating the whole preload.
-	const chunk = 8192
-	var keys, vals [chunk]uint32
-	for base := 0; base < kvRowsPerPartition; base += chunk {
-		n := kvRowsPerPartition - base
-		if n > chunk {
-			n = chunk
-		}
-		for i := 0; i < n; i++ {
-			keys[i] = rng.Uint32()
-			vals[i] = rng.Uint32()
-		}
-		st.store.PutBatch(keys[:n], vals[:n])
+	store := storage.NewHashIndex32(kvRowsPerPartition)
+	for i := 0; i < kvRowsPerPartition; i++ {
+		key := rng.Uint32()
+		store.Upsert(key, rng.Uint32())
 	}
-	return st
+	return store
 }
 
 // AppendQuery implements Workload: one multi-get/multi-put batch against
@@ -117,19 +101,17 @@ func (k *KV) AppendQuery(dst []Op, rng *rand.Rand, parts int) []Op {
 // store overlaps the probes' cache misses instead of serializing
 // kvExecSample dependent lookups.
 func execKVGet(st PartitionState, _ *rand.Rand, ctx uint64) {
-	kp := st.(*kvPartition)
 	key := uint32(ctx)
 	var keys, vals [kvExecSample]uint32
 	var hit [kvExecSample]bool
 	for i := range keys {
 		keys[i] = key + uint32(i)
 	}
-	kp.store.MultiGet(keys[:], vals[:], hit[:])
+	st.(*storage.HashIndex32).MultiGet(keys[:], vals[:], hit[:])
 }
 
 // execKVPut performs the sampled write work of one multi-put batch.
 func execKVPut(st PartitionState, _ *rand.Rand, ctx uint64) {
-	kp := st.(*kvPartition)
 	key := uint32(ctx)
-	kp.store.Put(key, key^0x5a5a5a5a)
+	st.(*storage.HashIndex32).Upsert(key, key^0x5a5a5a5a)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"ecldb/internal/perfmodel"
+	"ecldb/internal/storage"
 )
 
 // YCSB-style mixes over the key-value store. The paper evaluates a custom
@@ -80,17 +81,17 @@ func (y *YCSB) AppendQuery(dst []Op, rng *rand.Rand, parts int) []Op {
 }
 
 func execYCSBRead(st PartitionState, _ *rand.Rand, ctx uint64) {
-	kp := st.(*kvPartition)
+	store := st.(*storage.HashIndex32)
 	key := uint32(ctx)
 	for i := 0; i < kvExecSample; i++ {
-		kp.store.Get(key + uint32(i))
+		store.Get(key + uint32(i))
 	}
 }
 
 func execYCSBWrite(st PartitionState, _ *rand.Rand, ctx uint64) {
-	kp := st.(*kvPartition)
+	store := st.(*storage.HashIndex32)
 	key := uint32(ctx)
 	for i := 0; i < kvExecSample; i++ {
-		kp.store.Put(key+uint32(i), key^uint32(i))
+		store.Upsert(key+uint32(i), key^uint32(i))
 	}
 }

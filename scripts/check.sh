@@ -13,8 +13,8 @@
 #   ablations  the long internal/bench ablation and proportionality
 #              tests that -short skips (~10 s)
 #   fuzz       a fixed 10 s native-fuzzing budget on each of the
-#              replay-trace and energy-profile loaders and the
-#              semantic comparator
+#              replay-trace and energy-profile loaders, the semantic
+#              comparator and benchdiff's snapshot parser
 #   race       the byte-identical determinism test under the race
 #              detector, proving the core is goroutine-free at runtime;
 #              the production-vs-reference step-path, query-trace,
@@ -100,6 +100,12 @@ step "fuzz relock comparator (10 s)"
 # compared with itself must report OK (seed corpus in
 # internal/relock/testdata/fuzz).
 go test -run=NONE -fuzz=FuzzCompareBytes -fuzztime=10s ./internal/relock
+
+step "fuzz benchdiff snapshot (10 s)"
+# The same budget over benchdiff's snapshot parser: it must return an
+# error or a snapshot that compares with itself as unchanged (seed corpus
+# in cmd/benchdiff/testdata/fuzz).
+go test -run=NONE -fuzz=FuzzLoadSnapshot -fuzztime=10s ./cmd/benchdiff
 
 step "determinism under -race"
 go test -race -short -count=1 -run 'TestDeterminism' ./internal/sim
