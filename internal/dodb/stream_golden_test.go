@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ecldb/internal/storage"
 	"ecldb/internal/workload"
@@ -19,9 +20,10 @@ import (
 // exec-time draws keep their order. The exceptions are state words
 // re-recorded under a new digest of unchanged contents, with counts and
 // nextRand unmoved: hashtable-insert's, when its index came to store
-// 32-bit values, and the KV store's (ycsb-A, the split), when the digest
-// came to read the (key, value) pairs in key order instead of the value
-// array the store used to keep.
+// 32-bit values and again when the digest came to read that index by
+// content in key order instead of its buckets, and the KV store's
+// (ycsb-A, the split), when the digest came to read the (key, value)
+// pairs in key order instead of the value array the store used to keep.
 type streamGolden struct {
 	submitted, completed int64
 	nextRand             int64
@@ -97,17 +99,18 @@ func streamRun(t testing.TB, c streamCase) streamGolden {
 	}
 }
 
-// digestPartition folds the written fields of one partition into h. A KV
-// partition is a storage.HashIndex32, read through its exported Range;
-// for the other workloads it reads the unexported state by field name, so
-// the digest needs no accessor in the workload package:
+// digestPartition folds the written fields of one partition into h. Every
+// storage.HashIndex32 is digested by content, through its exported Range:
+// the entry count, then each (key, value) pair in ascending key order, so
+// a change to the index's bucket layout leaves the digest alone. A KV
+// partition is such an index; for the other workloads it reads the
+// unexported state by field name, so the digest needs no accessor in the
+// workload package:
 //   - TATP: the subscriber bit1 and vlr_location columns, every
 //     call_forwarding column and its row count, and the forwarding
 //     B-tree's size;
-//   - KV/YCSB: the entry count, then each (key, value) pair in ascending
-//     key order;
-//   - micro: the compute counter and the hash partition's insert cursor,
-//     entry count and bucket slots (key and value words).
+//   - micro: the compute counter, and the hash partition's insert cursor
+//     and index.
 func digestPartition(h interface{ Write([]byte) (int, error) }, state workload.PartitionState) {
 	word := func(v uint64) {
 		var b [8]byte
@@ -122,15 +125,18 @@ func digestPartition(h interface{ Write([]byte) (int, error) }, state workload.P
 			word(uint64(v.Index(i).Int()))
 		}
 	}
-	if kv, ok := state.(*storage.HashIndex32); ok {
-		pairs := make([]uint64, 0, kv.Len())
-		kv.Range(func(key, val uint32) { pairs = append(pairs, uint64(key)<<32|uint64(val)) })
+	index := func(ix *storage.HashIndex32) {
+		pairs := make([]uint64, 0, ix.Len())
+		ix.Range(func(key, val uint32) { pairs = append(pairs, uint64(key)<<32|uint64(val)) })
 		sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
 		word(uint64(len(pairs)))
 		for _, p := range pairs {
 			word(p >> 32)
 			word(uint64(uint32(p)))
 		}
+	}
+	if kv, ok := state.(*storage.HashIndex32); ok {
+		index(kv)
 		return
 	}
 	st := reflect.ValueOf(state)
@@ -161,14 +167,10 @@ func digestPartition(h interface{ Write([]byte) (int, error) }, state workload.P
 		word(p.FieldByName("counter").Uint())
 	case "hashPartition":
 		word(p.FieldByName("next").Uint())
-		idx := p.FieldByName("idx").Elem()
-		word(uint64(idx.FieldByName("live").Int()))
-		slots := idx.FieldByName("slots")
-		for i := 0; i < slots.Len(); i++ {
-			slot := slots.Index(i).Uint()
-			word(slot >> 32)
-			word(uint64(uint32(slot)))
-		}
+		// idx is unexported, so reflect will not hand it out as a value;
+		// read the field's *storage.HashIndex32 in place instead.
+		idx := p.FieldByName("idx")
+		index(reflect.NewAt(idx.Type(), unsafe.Pointer(idx.UnsafeAddr())).Elem().Interface().(*storage.HashIndex32))
 	}
 }
 
@@ -187,7 +189,7 @@ func TestQueryStreamIdentity(t *testing.T) {
 		"compute-bound":                 {4724, 4708, 8943790140071731039, 0xe4bc7d24e84f5053},
 		"memory-scan":                   {4620, 4604, 185856191951975289, 0xcbf29ce484222325},
 		"atomic-contention":             {4715, 4699, 2062715020408285889, 0xcbf29ce484222325},
-		"hashtable-insert":              {4661, 4644, 7217012782275668654, 0xe955c49a94862992},
+		"hashtable-insert":              {4661, 4644, 7217012782275668654, 0x1ee9808bafd7329a},
 		"full-load":                     {4667, 4651, 7710411114329372735, 0xcbf29ce484222325},
 		"ycsb-A":                        {4648, 4631, 6583365134028755665, 0xcd6a8aab0b011cbd},
 		"split:kv-indexed+tatp-indexed": {3927, 3909, 3251749303108698073, 0x642c12e88ce1af8e},

@@ -16,50 +16,58 @@ func seqMsgs(p, n int) []Message {
 }
 
 // A partition queue under a standing backlog never runs empty, so it can
-// only stay bounded by reusing its ring while messages are still pending.
-// Push 2 and pop 1 per round with the backlog cut back to its floor
-// whenever it doubles: the ring must stop growing once the backlog stops
-// growing, and every message comes out in order.
+// only stay bounded by handing its drained blocks back while messages are
+// still pending. Push 2 and pop 1 per round with the backlog cut back to
+// its floor whenever it doubles: the hub must stop allocating blocks once
+// the backlog stops growing, and every message comes out in order.
 func TestQueueBacklogBoundedFIFO(t *testing.T) {
 	const (
 		floor  = 100
 		rounds = 20000
 	)
-	ms := seqMsgs(0, floor+2*rounds)
-	var q queue
+	h := NewHub(0, []int{0})
 	pushed, popped := 0, 0
+	push := func() {
+		if err := enqueue(h, &Message{Partition: 0, Instr: float64(pushed)}); err != nil {
+			t.Fatal(err)
+		}
+		pushed++
+	}
 	pop := func() {
-		m := q.msgs.Pop()
-		if m == nil || m.Instr != float64(popped) {
-			t.Fatalf("pop %d returned %v, want message %d", popped, m, popped)
+		m, err := h.DequeueOne(1, 0)
+		if err != nil || m == nil || m.Instr != float64(popped) {
+			t.Fatalf("pop %d returned %v, %v, want message %d", popped, m, err, popped)
 		}
 		popped++
 	}
-	for ; pushed < floor; pushed++ {
-		*q.msgs.Push() = ms[pushed]
+	for pushed < floor {
+		push()
 	}
-	maxCap := 0
+	if !h.AcquireSpecific(1, 0) {
+		t.Fatal("cannot acquire the backlogged partition")
+	}
+	maxBlocks := 0
 	for r := 0; r < rounds; r++ {
-		*q.msgs.Push() = ms[pushed]
-		*q.msgs.Push() = ms[pushed+1]
-		pushed += 2
+		push()
+		push()
 		pop()
-		if q.msgs.Len() >= 2*floor {
-			for q.msgs.Len() > floor {
+		if h.QueueLen(0) >= 2*floor {
+			for h.QueueLen(0) > floor {
 				pop()
 			}
 		}
-		if q.msgs.Len() != pushed-popped {
-			t.Fatalf("round %d: len %d, want %d", r, q.msgs.Len(), pushed-popped)
+		if h.QueueLen(0) != pushed-popped || h.Pending() != pushed-popped {
+			t.Fatalf("round %d: len %d, pending %d, want %d", r, h.QueueLen(0), h.Pending(), pushed-popped)
 		}
-		maxCap = max(maxCap, q.msgs.Cap())
+		maxBlocks = max(maxBlocks, hubBlocks(h))
 	}
-	// The backlog peaks at 2*floor = 200 messages; the ring doubles only
-	// when full, so it stops at the next power of two.
-	if maxCap > 256 {
-		t.Fatalf("queue ring reached cap %d for a backlog of at most %d", maxCap, 2*floor)
+	// The backlog peaks at 2*floor = 200 messages. A queue of n messages
+	// spans at most ceil(n/blockLen)+1 blocks (a partly read head block
+	// and a partly filled tail block).
+	if want := (2*floor+blockLen-1)/blockLen + 1; maxBlocks > want {
+		t.Fatalf("hub allocated %d blocks for a backlog of at most %d, want <= %d", maxBlocks, 2*floor, want)
 	}
-	for q.msgs.Len() > 0 {
+	for h.QueueLen(0) > 0 {
 		pop()
 	}
 	if popped != pushed {

@@ -62,12 +62,28 @@ type Message struct {
 	SleepAtDeliver time.Duration
 }
 
+// blockLen is the number of messages in a queue block. 63 messages and
+// the link take 4,040 bytes, which the allocator serves from its 4 KiB
+// size class; 64 and a link would round up to 4,864.
+const blockLen = 63
+
+// block is a fixed run of queued messages. A queue links its blocks
+// oldest to newest; the hub's free list links the unused ones.
+type block struct {
+	msgs [blockLen]Message
+	next *block
+}
+
 // queue is the FIFO of messages for one partition with an ownership flag.
+// Its messages run from head.msgs[hi] to tail.msgs[ti-1] over a chain of
+// blocks drawn from the hub's free list.
 type queue struct {
-	msgs      ring.Ring[Message]
-	partition int
-	scanIdx   int // index in the hub's scan order (ready-bitmask bit)
-	owner     int // worker token holding the partition, or -1
+	head, tail *block
+	hi, ti     int // next slot to pop in head, next slot to fill in tail
+	n          int // pending messages
+	partition  int
+	scanIdx    int // index in the hub's scan order (ready-bitmask bit)
+	owner      int // worker token holding the partition, or -1
 }
 
 // NoOwner marks an unowned partition queue.
@@ -97,6 +113,10 @@ type Hub struct {
 	// (useReady); larger hubs fall back to the linear scan.
 	ready    uint64
 	useReady bool
+	// free is the list of blocks no queue holds. Queues take blocks
+	// from it and return drained ones, so the hub allocates about its
+	// peak backlog once.
+	free *block
 }
 
 // NewHub creates the hub of one socket with the given homed partitions.
@@ -126,7 +146,7 @@ func NewHub(socket int, partitions []int) *Hub {
 // markReady sets a queue's ready bit if it is serveable (unowned with
 // pending messages).
 func (h *Hub) markReady(q *queue) {
-	if h.useReady && q.owner == NoOwner && q.msgs.Len() > 0 {
+	if h.useReady && q.owner == NoOwner && q.n > 0 {
 		h.ready |= 1 << uint(q.scanIdx)
 	}
 }
@@ -167,7 +187,29 @@ func (h *Hub) EnqueueLocal(partition int) (*Message, error) {
 		//ecllint:allow hotpath cold error path; routing is validated when partitions are installed
 		return nil, fmt.Errorf("msg: partition %d not homed on socket %d", partition, h.socket)
 	}
-	m := q.msgs.Push()
+	switch {
+	case q.n == 0 && q.head != nil:
+		// The queue ran empty in its last block: refill it from the
+		// front. Only the pointer of the last dequeue from this
+		// partition pointed into it.
+		q.hi, q.ti = 0, 0
+	case q.tail == nil || q.ti == blockLen:
+		b := h.free
+		if b == nil {
+			//ecllint:allow hotpath a block is allocated only when the free list is empty, so the hub allocates about its peak backlog once
+			b = new(block)
+		}
+		h.free, b.next = b.next, nil
+		if q.tail == nil {
+			q.head = b
+		} else {
+			q.tail.next = b
+		}
+		q.tail, q.ti = b, 0
+	}
+	m := &q.tail.msgs[q.ti]
+	q.ti++
+	q.n++
 	*m = Message{Partition: int32(partition)}
 	h.pending++
 	h.markReady(q)
@@ -258,7 +300,7 @@ func (h *Hub) Acquire(worker int) (partition int, ok bool) {
 		if i == n {
 			i = 0
 		}
-		if q.owner == NoOwner && q.msgs.Len() > 0 {
+		if q.owner == NoOwner && q.n > 0 {
 			q.owner = worker
 			h.scanCursor = i
 			return q.partition, true
@@ -272,7 +314,7 @@ func (h *Hub) Acquire(worker int) (partition int, ok bool) {
 // mode, where workers may only serve their own partitions.
 func (h *Hub) AcquireSpecific(worker, partition int) bool {
 	q := h.q(partition)
-	if q == nil || q.owner != NoOwner || q.msgs.Len() == 0 {
+	if q == nil || q.owner != NoOwner || q.n == 0 {
 		return false
 	}
 	q.owner = worker
@@ -307,8 +349,9 @@ func (h *Hub) Release(worker, partition int) error {
 
 // DequeueOne pops a single message from an owned partition, or nil when
 // the queue is empty. The caller must hold ownership. The result points
-// into the queue's ring and is valid until the next enqueue to the same
-// partition. This is the engine's per-message hot path.
+// into the queue's block and is valid until the next enqueue to or
+// dequeue from the same partition; enqueues to other partitions leave it
+// in place. This is the engine's per-message hot path.
 //
 //ecllint:hotpath one call per executed operation
 func (h *Hub) DequeueOne(worker, partition int) (*Message, error) {
@@ -321,17 +364,31 @@ func (h *Hub) DequeueOne(worker, partition int) (*Message, error) {
 		//ecllint:allow hotpath cold error path; ownership is enforced by Acquire before any dequeue
 		return nil, fmt.Errorf("msg: worker %d dequeuing partition %d owned by %d", worker, partition, q.owner)
 	}
-	m := q.msgs.Pop()
-	if m != nil {
-		h.pending--
+	// A drained block goes back to the free list one dequeue late, so
+	// the message last returned stays in place until the next call.
+	if q.n == 0 {
+		if q.head != nil {
+			q.head.next, h.free = h.free, q.head
+			q.head, q.tail, q.hi, q.ti = nil, nil, 0, 0
+		}
+		return nil, nil
 	}
+	if q.hi == blockLen {
+		b := q.head
+		q.head, q.hi = b.next, 0
+		b.next, h.free = h.free, b
+	}
+	m := &q.head.msgs[q.hi]
+	q.hi++
+	q.n--
+	h.pending--
 	return m, nil
 }
 
 // QueueLen returns the number of pending messages of one partition.
 func (h *Hub) QueueLen(partition int) int {
 	if q := h.q(partition); q != nil {
-		return q.msgs.Len()
+		return q.n
 	}
 	return 0
 }

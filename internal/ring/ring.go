@@ -1,15 +1,18 @@
 // Package ring provides Ring, a FIFO of values over one power-of-two
-// array that doubles only when full. The query path keeps its run-time
-// state in rings — the latency window of internal/dodb, the partition
-// queues and outbound buffers of internal/msg — so a steady stream
+// array that doubles only when full. The latency window of internal/dodb
+// and the outbound buffers of internal/msg are rings, so a steady stream
 // recycles one array, and a backlog grows it at most log2 times, instead
 // of allocating per element or reallocating on every ~1.25x append
-// growth.
+// growth. Views of contiguous runs (Take, All) are what a ring offers
+// over a chain of blocks. The partition queues of internal/msg need no
+// views, and many of them share one hub, so they chain fixed blocks from
+// a per-hub free list instead: a ring per queue would double on its own
+// and leave behind arrays up to twice its peak.
 package ring
 
 // minCap is the length of a ring's first array: one engine worker batch
-// of messages, so a partition queue under a light standing backlog never
-// grows past its first array.
+// of elements, so a ring under a light standing backlog never grows past
+// its first array.
 const minCap = 64
 
 // Ring is a FIFO of T values. The zero value is an empty ring.

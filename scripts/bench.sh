@@ -28,6 +28,12 @@
 # BenchmarkTable1EnergySavings vs BenchmarkTable1Parallel, needs a
 # non-short run).
 #
+# Packages run one at a time (-p 1). By default go test runs as many
+# package test binaries at once as there are CPUs, so on a small host two
+# packages' benchmarks share the cores and each times the other's
+# contention: BenchmarkTable1RowSingleRun once read 5.17 and 3.78 s/op in
+# two full passes and 2.60 s/op run alone minutes later.
+#
 # CI runs this as a non-blocking step: a slow machine or noisy neighbor
 # must not fail the build, but the numbers are always archived.
 set -euo pipefail
@@ -44,7 +50,7 @@ out="BENCH_${stamp}_${commit}${dirty}.json"
 model=$(awk -F: '/^model name/ { sub(/^[ \t]+/, "", $2); print $2; exit }' /proc/cpuinfo 2>/dev/null | tr -d '"\\' || true)
 host_cpu="${model:-unknown}, nproc $(nproc 2>/dev/null || echo unknown)"
 
-go test -run=NONE -bench=. -benchtime="$benchtime" -benchmem -short ./... | tee "$raw"
+go test -p 1 -run=NONE -bench=. -benchtime="$benchtime" -benchmem -short ./... | tee "$raw"
 
 # One JSON object per benchmark line: strip the -<GOMAXPROCS> suffix
 # from the name and keep the iteration count and the ns/op, B/op, and
