@@ -121,7 +121,6 @@ type Engine struct {
 	rng       *rand.Rand
 	router    *msg.Router
 	parts     []workload.PartitionState
-	partHome  []int
 	latency   *LatencyTracker
 	loadCarry float64
 	// budgetDebt carries per-thread instruction overshoot into the next
@@ -133,8 +132,9 @@ type Engine struct {
 	// inFlight is the intrusive doubly linked list of live queries;
 	// inFlightLen tracks its length. freeQuery chains recycled query
 	// records (via next), so the steady-state submit/complete cycle reuses
-	// them instead of allocating per query. Messages need no pool: the
-	// hubs' rings hold them by value.
+	// them instead of allocating per query. Messages need no pool of
+	// their own: the hubs hold them by value in blocks from per-hub free
+	// lists.
 	inFlight    *query
 	inFlightLen int
 	freeQuery   *query
@@ -253,12 +253,10 @@ func (e *Engine) install(wl workload.Workload) error {
 	e.charEpoch++
 	n := e.topo.TotalThreads()
 	e.parts = make([]workload.PartitionState, n)
-	e.partHome = make([]int, n)
 	homes := make([][]int, e.topo.Sockets)
 	for p := 0; p < n; p++ {
 		e.parts[p] = wl.NewPartition(p, e.rng)
 		s := p % e.topo.Sockets // round-robin partition placement
-		e.partHome[p] = s
 		homes[s] = append(homes[s], p)
 	}
 	router, err := msg.NewRouter(homes)
@@ -496,7 +494,7 @@ func (e *Engine) SubmitQuery(now time.Duration) error {
 	// partition's home under NUMA-aware routing.
 	origin := e.rng.Intn(e.topo.Sockets)
 	if e.cfg.NUMARouting {
-		origin = e.partHome[ops[0].Partition]
+		origin, _ = e.router.Home(ops[0].Partition)
 	}
 	if q.traced {
 		q.origin = int32(origin)
@@ -518,7 +516,10 @@ func (e *Engine) SubmitQuery(now time.Duration) error {
 		m.ExecCtxFn = op.ExecFn
 		m.ExecCtx = op.ExecCtx
 		m.Ctx = q
-		if q.traced && e.partHome[op.Partition] == origin {
+		if !q.traced {
+			continue
+		}
+		if home, _ := e.router.Home(op.Partition); home == origin {
 			// Locally admitted: delivered to the home hub at submit time.
 			// Remote messages are stamped by the router's deliver hook
 			// when a communication endpoint transfers them.
@@ -648,7 +649,7 @@ func (e *Engine) DistributeEnergy(perWeightJ []units.Joule) {
 // completing step; the accrual happens at the top of Step, so the delta
 // counts precisely the no-active-worker quanta the message sat through.
 func (e *Engine) emitQuerySpan(q *query, m *msg.Message, done time.Duration, lt int) {
-	home := e.partHome[m.Partition]
+	home, _ := e.router.Home(int(m.Partition))
 	deliver := m.DeliveredAt
 	execStart := e.stepStart
 	if execStart < deliver {
@@ -960,7 +961,7 @@ func (e *Engine) acquireFor(hub *msg.Hub, socket, lt int) (int, bool) {
 // mapped to in the non-elastic mode. With one partition per hardware
 // thread this is a bijection within the partition's home socket.
 func (e *Engine) boundThread(p int) int {
-	s := e.partHome[p]
+	s, _ := e.router.Home(p)
 	tps := e.topo.ThreadsPerSocket()
 	return e.topo.GlobalThread(s, (p/e.topo.Sockets)%tps)
 }

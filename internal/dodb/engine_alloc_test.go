@@ -40,9 +40,9 @@ func TestStepSteadyStateAllocatesNothing(t *testing.T) {
 // The submit+drain cycle allocates nothing under a standing backlog, for
 // every workload: queries are generated into the engine's op scratch with
 // closure-free exec functions, query records come from the engine's
-// freelist, messages are stored by value in the partition queues' pooled
-// blocks and the outbound buffers' rings, the latency window reuses its
-// ring, and the sampled exec work scans into partition-owned scratch.
+// freelist, messages are stored by value in the hubs' pooled blocks
+// (partition queues and outbound buffers alike), the latency window
+// reuses its ring, and the sampled exec work scans into partition-owned scratch.
 // Every cycle tops the engine up to a fixed number of pending messages,
 // so the queues never run empty, and then runs one step whose budget
 // drains a fraction of them.

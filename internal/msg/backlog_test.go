@@ -75,121 +75,148 @@ func TestQueueBacklogBoundedFIFO(t *testing.T) {
 	}
 }
 
-// fillOutbound buffers ms toward socket 1 on hub h.
-func fillOutbound(h *Hub, ms []Message) {
-	for i := range ms {
-		enqueueRemote(h, 1, &ms[i])
+// drainRemote pops every message of partition 1 on hub h, checking
+// that their Instr fields continue the sequence *next mod n, and returns
+// how many it popped. Popping past the end hands the queue's drained
+// block back, the way an engine worker's batch ends.
+func drainRemote(t *testing.T, h *Hub, next *int, n int) int {
+	if !h.AcquireSpecific(1, 1) {
+		return 0
 	}
+	popped := 0
+	for {
+		m, err := h.DequeueOne(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m == nil {
+			break
+		}
+		if m.Instr != float64(*next%n) {
+			t.Fatalf("message %d out of order: got seq %v", *next, m.Instr)
+		}
+		*next++
+		popped++
+	}
+	if err := h.Release(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	return popped
 }
 
-// Partial outbound drains hand out TransferBatch-sized chunks in message
-// order, split in two only where a chunk wraps the ring's end, and, once
-// the ring has reached its steady size under a standing backlog, neither
-// copy the remainder nor allocate.
+// Communication rounds under a standing outbound backlog move
+// min(TransferBatch, backlog) messages each, in message order, and once
+// both hubs' free lists hold the blocks the backlog turns over, neither
+// hub allocates.
 func TestOutboundPartialDrainOrderAndAllocs(t *testing.T) {
 	const standing = 3*TransferBatch + 17
-	h := NewHub(0, []int{0})
+	r, err := NewRouter([][]int{{0}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.Hub(0)
 	ms := seqMsgs(1, standing+TransferBatch)
 	// Message i of the stream carries sequence number i mod len(ms): the
 	// stream reuses ms round after round, so the expected sequence wraps
 	// too.
-	fillOutbound(h, ms[:standing])
-	enq, want, wrapped := standing, 0, 0
-	// round enqueues k messages and drains a chunk of k.
-	round := func(k int) {
+	enq, want := 0, 0
+	sendN := func(k int) {
 		for i := 0; i < k; i++ {
-			enqueueRemote(h, 1, &ms[enq%len(ms)])
+			if err := send(r, 0, &ms[enq%len(ms)]); err != nil {
+				t.Fatal(err)
+			}
 			enq++
 		}
-		head, tail := h.DrainOutbound(1, k)
-		if len(head)+len(tail) != k {
-			t.Fatalf("drained %d+%d, want a partial chunk of %d", len(head), len(tail), k)
+	}
+	// round sends k messages, runs socket 0's endpoint and drains what
+	// it delivered to socket 1.
+	round := func(k int) {
+		sendN(k)
+		moved := min(TransferBatch, h.OutboundTotal())
+		rep, err := r.RunCommEndpoint(0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(tail) > 0 {
-			wrapped++
+		if rep.Messages != moved {
+			t.Fatalf("a round moved %d messages, want %d", rep.Messages, moved)
 		}
-		for _, seg := range [2][]Message{head, tail} {
-			for _, m := range seg {
-				if m.Instr != float64(want%len(ms)) {
-					t.Fatalf("message %d out of order: got seq %v", want, m.Instr)
-				}
-				want++
-			}
+		if got := drainRemote(t, r.Hub(1), &want, len(ms)); got != moved {
+			t.Fatalf("socket 1 received %d messages, want %d", got, moved)
 		}
 	}
+	sendN(standing)
 	for i := 0; i < 16; i++ {
 		round(TransferBatch)
 	}
-	// The ring has grown to its steady size with its head at a multiple
-	// of TransferBatch; one odd round shifts every later chunk off that
-	// grid, so chunks that reach the ring's end wrap.
-	round(17)
-	allocs := testing.AllocsPerRun(1, func() {
+	if a := minAllocs(func() {
 		for i := 0; i < 64; i++ {
 			round(TransferBatch)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("64 enqueue+partial-drain rounds allocate %.0f times, want 0", allocs)
+	}); a != 0 {
+		t.Fatalf("64 send+transfer rounds allocate %.0f times, want 0", a)
 	}
-	if wrapped == 0 {
-		t.Fatal("no drained chunk wrapped the ring's end; the two-view split is untested")
+	if h.outbound[1].n != standing || h.OutboundTotal() != standing || r.PendingTotal() != standing {
+		t.Fatalf("outbound holds %d (total %d, pending %d), want the standing %d", h.outbound[1].n, h.OutboundTotal(), r.PendingTotal(), standing)
 	}
-	if h.OutboundLen(1) != standing || h.OutboundTotal() != standing {
-		t.Fatalf("outbound holds %d (total %d), want the standing %d", h.OutboundLen(1), h.OutboundTotal(), standing)
+	// Rounds without new messages drain the backlog, the last one
+	// partly filled, and leave nothing buffered.
+	for h.OutboundTotal() > 0 {
+		round(0)
 	}
-	// Draining everything empties the ring; it stays in place for reuse.
-	if head, tail := h.DrainOutbound(1, 0); len(head)+len(tail) != standing {
-		t.Fatalf("full drain returned %d, want %d", len(head)+len(tail), standing)
+	if h.outbound[1].n != 0 || want != enq {
+		t.Fatalf("outbound holds %d after draining; %d of %d messages delivered", h.outbound[1].n, want, enq)
 	}
-	if head, tail := h.DrainOutbound(1, TransferBatch); h.OutboundLen(1) != 0 || h.OutboundTotal() != 0 || head != nil || tail != nil {
-		t.Fatal("fully drained outbound buffer still reports messages")
-	}
-	for _, s := range []int{5, -1} {
-		if head, tail := h.DrainOutbound(s, 0); h.OutboundLen(s) != 0 || head != nil || tail != nil {
-			t.Fatalf("socket %d without an outbound buffer must report empty", s)
-		}
-	}
+	round(0)
 }
 
-// Property: under arbitrary interleavings of enqueue bursts and partial
-// drains, the outbound ring hands messages out exactly as a plain slice
-// FIFO would — same order, same chunk sizes, same counts — across its
-// growths and wrap-arounds.
+// Property: under arbitrary interleavings of send bursts toward a remote
+// socket and communication rounds, the outbound buffer hands messages
+// out exactly as a plain slice FIFO would — same order, rounds of
+// min(TransferBatch, backlog), same counts — across block boundaries,
+// while the hub's free list recycles drained blocks.
 func TestOutboundDrainMatchesSliceOracle(t *testing.T) {
 	f := func(ops []uint16) bool {
-		h := NewHub(0, []int{0})
+		r, err := NewRouter([][]int{{0}, {1}})
+		if err != nil {
+			return false
+		}
+		h, remote := r.Hub(0), r.Hub(1)
 		var oracle []float64
 		seq := 0
 		for _, op := range ops {
-			if op&1 == 0 { // enqueue a burst of 0..63 messages
-				for n := int(op>>1) % 64; n > 0; n-- {
-					enqueueRemote(h, 1, &Message{Partition: 1, Instr: float64(seq)})
+			if op&1 == 0 { // send a burst of 0..699 messages
+				for n := int(op>>1) % 700; n > 0; n-- {
+					if send(r, 0, &Message{Partition: 1, Instr: float64(seq)}) != nil {
+						return false
+					}
 					oracle = append(oracle, float64(seq))
 					seq++
 				}
-				continue
-			}
-			max := int(op>>1)%80 - 8 // max <= 0 drains everything
-			want := len(oracle)
-			if max > 0 && max < want {
-				want = max
-			}
-			head, tail := h.DrainOutbound(1, max)
-			if len(head)+len(tail) != want || (len(head) == 0 && len(tail) > 0) {
-				return false
-			}
-			i := 0
-			for _, seg := range [2][]Message{head, tail} {
-				for _, m := range seg {
-					if m.Instr != oracle[i] {
+			} else {
+				want := min(TransferBatch, len(oracle))
+				rep, err := r.RunCommEndpoint(0)
+				if err != nil || rep.Messages != want {
+					return false
+				}
+				if want > 0 {
+					if !remote.AcquireSpecific(1, 1) {
 						return false
 					}
-					i++
+					for i := 0; i < want; i++ {
+						if m, err := remote.DequeueOne(1, 1); err != nil || m == nil || m.Instr != oracle[i] {
+							return false
+						}
+					}
+					if remote.Release(1, 1) != nil {
+						return false
+					}
 				}
+				if remote.QueueLen(1) != 0 {
+					return false
+				}
+				oracle = oracle[want:]
 			}
-			oracle = oracle[want:]
-			if h.OutboundLen(1) != len(oracle) || h.OutboundTotal() != len(oracle) {
+			if h.outbound[1].n != len(oracle) || h.OutboundTotal() != len(oracle) || r.PendingTotal() != len(oracle) {
 				return false
 			}
 		}
@@ -203,8 +230,8 @@ func TestOutboundDrainMatchesSliceOracle(t *testing.T) {
 // BenchmarkHubBacklog measures the message layer's per-message cost under
 // a standing backlog: each iteration sends one message from socket 0 to a
 // partition homed on socket 1, runs socket 0's communication endpoint (a
-// partial TransferBatch drain while the outbound backlog exceeds a batch)
-// and dequeues one message on socket 1. Report with -benchmem: the steady
+// round of TransferBatch messages while the outbound backlog exceeds a
+// batch) and dequeues one message on socket 1. Report with -benchmem: the steady
 // state allocates nothing.
 func BenchmarkHubBacklog(b *testing.B) {
 	r, err := NewRouter([][]int{{0}, {1, 2}})

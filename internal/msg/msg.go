@@ -22,8 +22,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"time"
-
-	"ecldb/internal/ring"
 )
 
 // Message is one unit of work addressed to a data partition. Queues and
@@ -62,32 +60,96 @@ type Message struct {
 	SleepAtDeliver time.Duration
 }
 
-// blockLen is the number of messages in a queue block. 63 messages and
-// the link take 4,040 bytes, which the allocator serves from its 4 KiB
-// size class; 64 and a link would round up to 4,864.
+// blockLen is the number of messages in a block. 63 messages and the
+// link take 4,040 bytes, which the allocator serves from its 4 KiB size
+// class; 64 and a link would round up to 4,864.
 const blockLen = 63
 
-// block is a fixed run of queued messages. A queue links its blocks
-// oldest to newest; the hub's free list links the unused ones.
+// block is a fixed run of messages. A fifo links its blocks oldest to
+// newest; the hub's free list links the unused ones.
 type block struct {
 	msgs [blockLen]Message
 	next *block
 }
 
-// queue is the FIFO of messages for one partition with an ownership flag.
-// Its messages run from head.msgs[hi] to tail.msgs[ti-1] over a chain of
-// blocks drawn from the hub's free list.
-type queue struct {
+// fifo is a FIFO of messages over a chain of blocks drawn from one hub's
+// free list. Its messages run from head.msgs[hi] to tail.msgs[ti-1]. The
+// partition queues and the outbound buffers of a hub are fifos over the
+// same free list, so the hub allocates about its peak backlog once,
+// wherever the messages wait.
+type fifo struct {
 	head, tail *block
 	hi, ti     int // next slot to pop in head, next slot to fill in tail
-	n          int // pending messages
-	partition  int
-	scanIdx    int // index in the hub's scan order (ready-bitmask bit)
-	owner      int // worker token holding the partition, or -1
+	n          int // messages held
+}
+
+// push appends a message and returns its slot for the caller to
+// overwrite whole. The pointer is valid until the next push to f. A
+// block is taken from *free only when the tail block is full, and
+// allocated only when *free is empty.
+func (f *fifo) push(free **block) *Message {
+	switch {
+	case f.n == 0 && f.head != nil:
+		// The fifo ran empty in its last block: refill it from the
+		// front. Only the pointer of the last pop pointed into it.
+		f.hi, f.ti = 0, 0
+	case f.tail == nil || f.ti == blockLen:
+		b := *free
+		if b == nil {
+			//ecllint:allow hotpath a block is allocated only when the free list is empty, so the hub allocates about its peak backlog once
+			b = new(block)
+		}
+		*free, b.next = b.next, nil
+		if f.tail == nil {
+			f.head = b
+		} else {
+			f.tail.next = b
+		}
+		f.tail, f.ti = b, 0
+	}
+	m := &f.tail.msgs[f.ti]
+	f.ti++
+	f.n++
+	return m
+}
+
+// pop removes the oldest message and returns a pointer to its slot, or
+// nil when f is empty. The pointer is valid until the next push to or pop
+// from f: a drained block goes back to *free one pop late, so the message
+// last returned stays in place while other fifos of the hub take blocks.
+func (f *fifo) pop(free **block) *Message {
+	if f.n == 0 {
+		if f.head != nil {
+			f.head.next, *free = *free, f.head
+			f.head, f.tail, f.hi, f.ti = nil, nil, 0, 0
+		}
+		return nil
+	}
+	if f.hi == blockLen {
+		b := f.head
+		f.head, f.hi = b.next, 0
+		b.next, *free = *free, b
+	}
+	m := &f.head.msgs[f.hi]
+	f.hi++
+	f.n--
+	return m
+}
+
+// queue is the FIFO of messages for one partition with an ownership flag.
+type queue struct {
+	fifo
+	partition int
+	scanIdx   int // index in the hub's scan order (ready-bitmask bit)
+	owner     int // worker token holding the partition, or -1
 }
 
 // NoOwner marks an unowned partition queue.
 const NoOwner = -1
+
+// maxHubPartitions is the most partitions one hub homes: one bit each in
+// the ready bitmask.
+const maxHubPartitions = 64
 
 // Hub is the intra-socket message hub: the per-partition queues of the
 // partitions homed on one socket, plus outbound buffers toward remote
@@ -100,31 +162,26 @@ type Hub struct {
 	scan       []*queue // queues in scan order (parallel to order)
 	order      []int    // partition scan order for fairness
 	scanCursor int
-	// outbound holds one persistent ring per remote socket, indexed by
-	// socket and grown on the first message toward it. Drained rings are
-	// kept, never dropped, so their arrays are reused.
-	outbound []ring.Ring[Message]
+	// outbound holds one fifo per socket of the router, indexed by the
+	// remote socket; the hub's own entry stays empty.
+	outbound []fifo
 	outTotal int // messages across all outbound buffers
 	pending  int // local messages waiting
 	// ready is a bitmask over scan indices: bit i is set exactly when
 	// scan[i] is unowned and has pending messages, so Acquire finds the
-	// next serveable partition with two bit scans instead of a loop over
-	// every queue. Only maintained when the hub has at most 64 partitions
-	// (useReady); larger hubs fall back to the linear scan.
-	ready    uint64
-	useReady bool
-	// free is the list of blocks no queue holds. Queues take blocks
-	// from it and return drained ones, so the hub allocates about its
-	// peak backlog once.
+	// next serveable partition with two bit scans.
+	ready uint64
+	// free is the list of blocks no fifo holds. The queues and outbound
+	// buffers take blocks from it and return drained ones.
 	free *block
 }
 
-// NewHub creates the hub of one socket with the given homed partitions.
+// NewHub creates the hub of one socket with the given homed partitions,
+// at most 64 of them (one bit each in the ready bitmask; NewRouter
+// rejects more). A hub built alone has no outbound buffers; NewRouter
+// gives its hubs one per socket.
 func NewHub(socket int, partitions []int) *Hub {
-	h := &Hub{
-		socket:   socket,
-		useReady: len(partitions) <= 64,
-	}
+	h := &Hub{socket: socket}
 	maxPart := -1
 	for _, p := range partitions {
 		if p > maxPart {
@@ -146,15 +203,8 @@ func NewHub(socket int, partitions []int) *Hub {
 // markReady sets a queue's ready bit if it is serveable (unowned with
 // pending messages).
 func (h *Hub) markReady(q *queue) {
-	if h.useReady && q.owner == NoOwner && q.n > 0 {
+	if q.owner == NoOwner && q.n > 0 {
 		h.ready |= 1 << uint(q.scanIdx)
-	}
-}
-
-// clearReady clears a queue's ready bit.
-func (h *Hub) clearReady(q *queue) {
-	if h.useReady {
-		h.ready &^= 1 << uint(q.scanIdx)
 	}
 }
 
@@ -187,73 +237,23 @@ func (h *Hub) EnqueueLocal(partition int) (*Message, error) {
 		//ecllint:allow hotpath cold error path; routing is validated when partitions are installed
 		return nil, fmt.Errorf("msg: partition %d not homed on socket %d", partition, h.socket)
 	}
-	switch {
-	case q.n == 0 && q.head != nil:
-		// The queue ran empty in its last block: refill it from the
-		// front. Only the pointer of the last dequeue from this
-		// partition pointed into it.
-		q.hi, q.ti = 0, 0
-	case q.tail == nil || q.ti == blockLen:
-		b := h.free
-		if b == nil {
-			//ecllint:allow hotpath a block is allocated only when the free list is empty, so the hub allocates about its peak backlog once
-			b = new(block)
-		}
-		h.free, b.next = b.next, nil
-		if q.tail == nil {
-			q.head = b
-		} else {
-			q.tail.next = b
-		}
-		q.tail, q.ti = b, 0
-	}
-	m := &q.tail.msgs[q.ti]
-	q.ti++
-	q.n++
+	m := q.push(&h.free)
 	*m = Message{Partition: int32(partition)}
 	h.pending++
 	h.markReady(q)
 	return m, nil
 }
 
-// EnqueueRemote appends a message for a partition homed on a remote
+// enqueueRemote appends a message for a partition homed on a remote
 // socket to the communication endpoint's buffer toward that socket and
 // returns it, zeroed except for its Partition, for the caller to fill in
 // place. The pointer is valid until the next enqueue toward the same
 // socket.
-func (h *Hub) EnqueueRemote(remoteSocket, partition int) *Message {
-	for remoteSocket >= len(h.outbound) {
-		//ecllint:allow hotpath one slot per remote socket, added on the first message toward it
-		h.outbound = append(h.outbound, ring.Ring[Message]{})
-	}
-	m := h.outbound[remoteSocket].Push()
+func (h *Hub) enqueueRemote(remoteSocket, partition int) *Message {
+	m := h.outbound[remoteSocket].push(&h.free)
 	*m = Message{Partition: int32(partition)}
 	h.outTotal++
 	return m
-}
-
-// DrainOutbound removes up to max buffered messages for a remote socket
-// (max <= 0 means all) and returns them, oldest first, as head followed
-// by tail. Both are views into the hub's outbound ring, valid until the
-// next EnqueueRemote toward the same socket; tail is empty unless the
-// drained run wraps around the ring's end. A partial drain advances the
-// ring's head and copies nothing.
-func (h *Hub) DrainOutbound(remoteSocket int, max int) (head, tail []Message) {
-	if remoteSocket < 0 || remoteSocket >= len(h.outbound) {
-		return nil, nil
-	}
-	head, tail = h.outbound[remoteSocket].Take(max)
-	h.outTotal -= len(head) + len(tail)
-	return head, tail
-}
-
-// OutboundLen returns the number of messages buffered toward a remote
-// socket.
-func (h *Hub) OutboundLen(remoteSocket int) int {
-	if remoteSocket < 0 || remoteSocket >= len(h.outbound) {
-		return 0
-	}
-	return h.outbound[remoteSocket].Len()
 }
 
 // OutboundTotal returns the number of messages buffered toward all remote
@@ -264,49 +264,29 @@ func (h *Hub) OutboundTotal() int { return h.outTotal }
 // Acquire finds the next partition with pending messages that is not
 // owned, takes ownership for the worker token, and returns the partition.
 // It returns (-1, false) if no partition is available. Scanning rotates so
-// partitions are served fairly.
+// partitions are served fairly: the first ready queue at or after the
+// cursor, wrapping, is served, and the cursor moves past it.
 //
 //ecllint:hotpath runs once per worker scheduling decision
 func (h *Hub) Acquire(worker int) (partition int, ok bool) {
-	if h.useReady {
-		// The bitmask mirrors the linear scan exactly: the first set bit
-		// at or after the cursor (wrapping) is the first queue the loop
-		// below would pick, because a bit is set iff the queue is unowned
-		// with pending messages.
-		if h.ready == 0 {
-			return -1, false
-		}
-		m := h.ready >> uint(h.scanCursor)
-		var idx int
-		if m != 0 {
-			idx = h.scanCursor + bits.TrailingZeros64(m)
-		} else {
-			idx = bits.TrailingZeros64(h.ready)
-		}
-		q := h.scan[idx]
-		q.owner = worker
-		h.ready &^= 1 << uint(idx)
-		h.scanCursor = idx + 1
-		if h.scanCursor == len(h.scan) {
-			h.scanCursor = 0
-		}
-		return q.partition, true
+	if h.ready == 0 {
+		return -1, false
 	}
-	n := len(h.scan)
-	i := h.scanCursor
-	for c := 0; c < n; c++ {
-		q := h.scan[i]
-		i++
-		if i == n {
-			i = 0
-		}
-		if q.owner == NoOwner && q.n > 0 {
-			q.owner = worker
-			h.scanCursor = i
-			return q.partition, true
-		}
+	m := h.ready >> uint(h.scanCursor)
+	var idx int
+	if m != 0 {
+		idx = h.scanCursor + bits.TrailingZeros64(m)
+	} else {
+		idx = bits.TrailingZeros64(h.ready)
 	}
-	return -1, false
+	q := h.scan[idx]
+	q.owner = worker
+	h.ready &^= 1 << uint(idx)
+	h.scanCursor = idx + 1
+	if h.scanCursor == len(h.scan) {
+		h.scanCursor = 0
+	}
+	return q.partition, true
 }
 
 // AcquireSpecific takes ownership of one specific partition if it is
@@ -318,7 +298,7 @@ func (h *Hub) AcquireSpecific(worker, partition int) bool {
 		return false
 	}
 	q.owner = worker
-	h.clearReady(q)
+	h.ready &^= 1 << uint(q.scanIdx)
 	return true
 }
 
@@ -364,24 +344,10 @@ func (h *Hub) DequeueOne(worker, partition int) (*Message, error) {
 		//ecllint:allow hotpath cold error path; ownership is enforced by Acquire before any dequeue
 		return nil, fmt.Errorf("msg: worker %d dequeuing partition %d owned by %d", worker, partition, q.owner)
 	}
-	// A drained block goes back to the free list one dequeue late, so
-	// the message last returned stays in place until the next call.
-	if q.n == 0 {
-		if q.head != nil {
-			q.head.next, h.free = h.free, q.head
-			q.head, q.tail, q.hi, q.ti = nil, nil, 0, 0
-		}
-		return nil, nil
+	m := q.pop(&h.free)
+	if m != nil {
+		h.pending--
 	}
-	if q.hi == blockLen {
-		b := q.head
-		q.head, q.hi = b.next, 0
-		b.next, h.free = h.free, b
-	}
-	m := &q.head.msgs[q.hi]
-	q.hi++
-	q.n--
-	h.pending--
 	return m, nil
 }
 

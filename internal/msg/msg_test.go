@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -8,8 +9,8 @@ import (
 
 func mkMsg(p int) *Message { return &Message{Partition: int32(p), Instr: 100} }
 
-// enqueue, send and enqueueRemote copy m into the message the hub or
-// router returns, the way a sender fills it in place.
+// enqueue and send copy m into the message the hub or router returns,
+// the way a sender fills it in place.
 func enqueue(h *Hub, m *Message) error {
 	dst, err := h.EnqueueLocal(int(m.Partition))
 	if err == nil {
@@ -24,10 +25,6 @@ func send(r *Router, origin int, m *Message) error {
 		*dst = *m
 	}
 	return err
-}
-
-func enqueueRemote(h *Hub, remote int, m *Message) {
-	*h.EnqueueRemote(remote, int(m.Partition)) = *m
 }
 
 // dequeueUpTo pops up to max messages of an owned partition through
@@ -245,7 +242,7 @@ func TestRouterLocalAndRemoteRouting(t *testing.T) {
 	if r.Hub(1).QueueLen(2) != 0 {
 		t.Fatal("remote message delivered without a transfer round")
 	}
-	if r.Hub(0).OutboundLen(1) != 1 {
+	if r.Hub(0).outbound[1].n != 1 {
 		t.Fatal("remote message not buffered")
 	}
 	rep, err := r.RunCommEndpoint(0)
@@ -273,6 +270,13 @@ func TestRouterRejectsBadInput(t *testing.T) {
 	}
 	if err := send(r, 9, mkMsg(0)); err == nil {
 		t.Error("invalid origin socket should fail")
+	}
+	// A hub's ready bitmask has one bit per partition.
+	if _, err := NewRouter([][]int{{65}, seqParts(65)}); err == nil || !strings.Contains(err.Error(), "socket 1 homes 65 partitions") {
+		t.Errorf("a socket with 65 partitions: err = %v, want one naming socket 1 and the count", err)
+	}
+	if _, err := NewRouter([][]int{{64}, seqParts(64)}); err != nil {
+		t.Errorf("a socket with 64 partitions: %v", err)
 	}
 }
 

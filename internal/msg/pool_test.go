@@ -10,16 +10,21 @@ import (
 )
 
 // hubBlocks counts the blocks a hub has allocated. A block is always in
-// one queue's chain or on the free list, and none is ever dropped.
+// one fifo's chain (a partition queue or an outbound buffer) or on the
+// free list, and none is ever dropped.
 func hubBlocks(h *Hub) int {
 	n := 0
-	for b := h.free; b != nil; b = b.next {
-		n++
-	}
-	for _, q := range h.scan {
-		for b := q.head; b != nil; b = b.next {
+	count := func(b *block) {
+		for ; b != nil; b = b.next {
 			n++
 		}
+	}
+	count(h.free)
+	for _, q := range h.scan {
+		count(q.head)
+	}
+	for i := range h.outbound {
+		count(h.outbound[i].head)
 	}
 	return n
 }
@@ -57,32 +62,51 @@ func TestBlockFillsFourKiBClass(t *testing.T) {
 	}
 }
 
-// Property: any interleaving of enqueue bursts and dequeue runs over the
-// partitions of one hub, which share its free list, hands every
-// partition's messages out exactly as one slice FIFO per partition would.
-// Dequeue runs may pop past a queue's end, which hands its drained block
-// back. The hub allocates at most ceil(peak/blockLen) + 2 blocks per
-// queue: a queue of n messages spans at most ceil(n/blockLen) + 1 blocks.
+// Property: any interleaving of enqueue bursts, dequeue runs, remote
+// send bursts and communication rounds on socket 0 of a two-socket
+// router, whose partition queues and outbound buffer share one free
+// list, hands every partition's messages out exactly as one slice FIFO
+// per partition would, and every remote socket's messages, in rounds of
+// min(TransferBatch, backlog), as one slice FIFO per remote socket
+// would. Dequeue runs may pop past a queue's end, which hands its drained
+// block back. The hub allocates at most ceil(peak/blockLen) + 2 blocks
+// per fifo: a fifo of n messages spans at most ceil(n/blockLen) + 1
+// blocks.
 func TestPooledQueuesMatchSliceOracle(t *testing.T) {
 	const parts = 8
 	f := func(ops []uint32) bool {
-		h := NewHub(0, seqParts(parts))
+		r, err := NewRouter([][]int{seqParts(parts), {parts, parts + 1}})
+		if err != nil {
+			return false
+		}
+		h := r.Hub(0)
 		oracle := make([][]float64, parts)
-		seq, backlog, peak := 0, 0, 0
+		out := make([][]float64, r.Sockets()) // by remote socket
+		delivered := make([][]float64, r.Sockets())
+		r.SetDeliverHook(func(home int, m *Message) {
+			delivered[home] = append(delivered[home], m.Instr)
+		})
+		seq, local, remote, peak := 0, 0, 0, 0
 		for _, op := range ops {
 			p := int(op % parts)
 			k := int(op>>3) % 150
-			if op>>16&1 == 0 {
+			switch op >> 16 & 3 {
+			case 0: // enqueue a burst to partition p
 				for ; k > 0; k-- {
 					if enqueue(h, &Message{Partition: int32(p), Instr: float64(seq)}) != nil {
 						return false
 					}
 					oracle[p] = append(oracle[p], float64(seq))
 					seq++
-					backlog++
+					local++
 				}
-				peak = max(peak, backlog)
-			} else if h.AcquireSpecific(1, p) {
+			case 1: // dequeue a run from partition p
+				if !h.AcquireSpecific(1, p) {
+					if len(oracle[p]) != 0 {
+						return false
+					}
+					break
+				}
 				for ; k > 0; k-- {
 					m, err := h.DequeueOne(1, p)
 					if err != nil {
@@ -98,24 +122,63 @@ func TestPooledQueuesMatchSliceOracle(t *testing.T) {
 						return false
 					}
 					oracle[p] = oracle[p][1:]
-					backlog--
+					local--
 				}
 				if h.Release(1, p) != nil {
 					return false
 				}
-			} else if len(oracle[p]) != 0 {
-				return false
+			case 2: // send a burst to a partition of socket 1
+				for ; k > 0; k-- {
+					if send(r, 0, &Message{Partition: int32(parts + p%2), Instr: float64(seq)}) != nil {
+						return false
+					}
+					out[1] = append(out[1], float64(seq))
+					seq++
+					remote++
+				}
+			case 3: // run socket 0's communication endpoint
+				for s := range delivered {
+					delivered[s] = delivered[s][:0]
+				}
+				rep, err := r.RunCommEndpoint(0)
+				if err != nil {
+					return false
+				}
+				moved := 0
+				for s := 1; s < r.Sockets(); s++ {
+					want := min(TransferBatch, len(out[s]))
+					if len(delivered[s]) != want {
+						return false
+					}
+					for i, v := range delivered[s] {
+						if v != out[s][i] {
+							return false
+						}
+					}
+					out[s] = out[s][want:]
+					moved += want
+				}
+				if rep.Messages != moved {
+					return false
+				}
+				remote -= moved
 			}
+			peak = max(peak, local+remote)
 			for q := range oracle {
 				if h.QueueLen(q) != len(oracle[q]) {
 					return false
 				}
 			}
-			if h.Pending() != backlog {
+			for s := 1; s < r.Sockets(); s++ {
+				if h.outbound[s].n != len(out[s]) {
+					return false
+				}
+			}
+			if h.Pending() != local || h.OutboundTotal() != remote {
 				return false
 			}
 		}
-		return hubBlocks(h) <= (peak+blockLen-1)/blockLen+2*parts
+		return hubBlocks(h) <= (peak+blockLen-1)/blockLen+2*(parts+r.Sockets()-1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -216,47 +279,55 @@ func TestQueueSteadyBacklogAllocatesNothing(t *testing.T) {
 	}
 }
 
-// The message DequeueOne returns stays in place while other partitions
-// enqueue, even when it is the last of its block (the drained block goes
-// back to the free list only on the partition's next dequeue) or the
-// last of its queue. Enqueues to other partitions draw blocks from the
-// free list, so a block handed back too early would be overwritten.
+// The message DequeueOne returns stays in place while the hub enqueues
+// to other partitions or buffers remote sends, even when it is the last
+// of its block (the drained block goes back to the free list only on the
+// partition's next dequeue) or the last of its queue. Other partitions'
+// queues and the outbound buffers draw blocks from the same free list,
+// so a block handed back too early would be overwritten.
 func TestDequeuePointerOutlivesOtherEnqueues(t *testing.T) {
-	h := NewHub(0, []int{0, 1})
-	// Seed the free list, so other partitions' enqueues reuse blocks.
-	wave(t, h, 8*blockLen)
-	for i := 0; i < blockLen+1; i++ {
-		if err := enqueue(h, &Message{Partition: 0, Instr: float64(i)}); err != nil {
+	// Partitions 0 and 1 are homed on socket 0, partition 2 on socket 1.
+	for _, flood := range []struct {
+		name      string
+		partition int32
+	}{{"enqueues to partition 1", 1}, {"remote sends", 2}} {
+		r, err := NewRouter([][]int{{0, 1}, {2}})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !h.AcquireSpecific(7, 0) {
-		t.Fatal("cannot acquire partition 0")
-	}
-	flood := func() {
-		for i := 0; i < 6*blockLen; i++ {
-			if err := enqueue(h, &Message{Partition: 1, Instr: -1}); err != nil {
+		h := r.Hub(0)
+		// Seed the free list, so the flood reuses blocks.
+		wave(t, h, 8*blockLen)
+		for i := 0; i < blockLen+1; i++ {
+			if err := enqueue(h, &Message{Partition: 0, Instr: float64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	var m *Message
-	for i := 0; i < blockLen+1; i++ {
-		var err error
-		if m, err = h.DequeueOne(7, 0); err != nil || m == nil || m.Instr != float64(i) {
-			t.Fatalf("dequeue %d = %v, %v", i, m, err)
+		if !h.AcquireSpecific(7, 0) {
+			t.Fatal("cannot acquire partition 0")
 		}
-		if i == blockLen-1 || i == blockLen {
-			// The last message of the first block, then the last
-			// message of the queue.
-			flood()
-			if m.Instr != float64(i) || m.Partition != 0 {
-				t.Fatalf("message %d overwritten by enqueues to another partition: %+v", i, *m)
+		var m *Message
+		for i := 0; i < blockLen+1; i++ {
+			var err error
+			if m, err = h.DequeueOne(7, 0); err != nil || m == nil || m.Instr != float64(i) {
+				t.Fatalf("dequeue %d = %v, %v", i, m, err)
+			}
+			if i == blockLen-1 || i == blockLen {
+				// The last message of the first block, then the last
+				// message of the queue.
+				for j := 0; j < 6*blockLen; j++ {
+					if err := send(r, 0, &Message{Partition: flood.partition, Instr: -1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if m.Instr != float64(i) || m.Partition != 0 {
+					t.Fatalf("message %d overwritten by %s: %+v", i, flood.name, *m)
+				}
 			}
 		}
-	}
-	if err := h.Release(7, 0); err != nil {
-		t.Fatal(err)
+		if err := h.Release(7, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

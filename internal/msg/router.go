@@ -31,12 +31,15 @@ type Router struct {
 }
 
 // NewRouter builds a router over per-socket partition assignments:
-// homes[s] lists the partitions homed on socket s. Partition ids are
-// small and dense, so the home table is a direct-mapped slice (Send is a
-// per-message hot path).
+// homes[s] lists the partitions homed on socket s, at most 64 per socket.
+// Partition ids are small and dense, so the home table is a
+// direct-mapped slice (Send is a per-message hot path).
 func NewRouter(homes [][]int) (*Router, error) {
 	r := &Router{}
 	for s, parts := range homes {
+		if len(parts) > maxHubPartitions {
+			return nil, fmt.Errorf("msg: socket %d homes %d partitions, more than %d", s, len(parts), maxHubPartitions)
+		}
 		for _, p := range parts {
 			for p >= len(r.home) {
 				r.home = append(r.home, -1)
@@ -46,7 +49,9 @@ func NewRouter(homes [][]int) (*Router, error) {
 			}
 			r.home[p] = s
 		}
-		r.hubs = append(r.hubs, NewHub(s, parts))
+		h := NewHub(s, parts)
+		h.outbound = make([]fifo, len(homes))
+		r.hubs = append(r.hubs, h)
 	}
 	return r, nil
 }
@@ -84,7 +89,7 @@ func (r *Router) Send(originSocket, partition int) (*Message, error) {
 	if home == originSocket {
 		return r.hubs[home].EnqueueLocal(partition)
 	}
-	return r.hubs[originSocket].EnqueueRemote(home, partition), nil
+	return r.hubs[originSocket].enqueueRemote(home, partition), nil
 }
 
 // SetDeliverHook registers a callback invoked for every message a
@@ -103,8 +108,9 @@ type TransferReport struct {
 }
 
 // RunCommEndpoint executes one communication round for a socket: it moves
-// up to TransferBatch buffered messages per remote socket into the remote
-// hubs and reports the modeled cost incurred on the local endpoint.
+// up to TransferBatch buffered messages per remote socket, oldest first,
+// into the remote hubs and reports the modeled cost incurred on the local
+// endpoint.
 func (r *Router) RunCommEndpoint(socket int) (TransferReport, error) {
 	var rep TransferReport
 	h := r.hubs[socket]
@@ -116,22 +122,25 @@ func (r *Router) RunCommEndpoint(socket int) (TransferReport, error) {
 		if remote == socket {
 			continue
 		}
-		head, tail := h.DrainOutbound(remote, TransferBatch)
-		for _, seg := range [2][]Message{head, tail} {
-			for i := range seg {
-				m := &seg[i]
-				if r.deliver != nil {
-					r.deliver(remote, m)
-				}
-				dst, err := r.hubs[remote].EnqueueLocal(int(m.Partition))
-				if err != nil {
-					return rep, err
-				}
-				*dst = *m
-				rep.Messages++
-				rep.Instr += TransferInstr
-				rep.Bytes += TransferBytes
+		out := &h.outbound[remote]
+		// Popping no further than the last message leaves a drained
+		// buffer its block, which the next send refills from the front.
+		for k := min(TransferBatch, out.n); k > 0; k-- {
+			// m stays valid through the remote hub's enqueue: that draws
+			// from the remote hub's free list, not from h's.
+			m := out.pop(&h.free)
+			h.outTotal--
+			if r.deliver != nil {
+				r.deliver(remote, m)
 			}
+			dst, err := r.hubs[remote].EnqueueLocal(int(m.Partition))
+			if err != nil {
+				return rep, err
+			}
+			*dst = *m
+			rep.Messages++
+			rep.Instr += TransferInstr
+			rep.Bytes += TransferBytes
 		}
 	}
 	return rep, nil

@@ -25,8 +25,8 @@ func TestRouterFourSockets(t *testing.T) {
 		t.Error("local message not delivered")
 	}
 	for remote := 1; remote < 4; remote++ {
-		if r.Hub(0).OutboundLen(remote) != 1 {
-			t.Errorf("outbound to socket %d = %d, want 1", remote, r.Hub(0).OutboundLen(remote))
+		if n := r.Hub(0).outbound[remote].n; n != 1 {
+			t.Errorf("outbound to socket %d = %d, want 1", remote, n)
 		}
 	}
 	rep, err := r.RunCommEndpoint(0)

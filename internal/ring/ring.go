@@ -1,13 +1,13 @@
 // Package ring provides Ring, a FIFO of values over one power-of-two
 // array that doubles only when full. The latency window of internal/dodb
-// and the outbound buffers of internal/msg are rings, so a steady stream
-// recycles one array, and a backlog grows it at most log2 times, instead
-// of allocating per element or reallocating on every ~1.25x append
-// growth. Views of contiguous runs (Take, All) are what a ring offers
-// over a chain of blocks. The partition queues of internal/msg need no
-// views, and many of them share one hub, so they chain fixed blocks from
-// a per-hub free list instead: a ring per queue would double on its own
-// and leave behind arrays up to twice its peak.
+// is a ring, so a steady stream of samples recycles one array, and a
+// backlog grows it at most log2 times, instead of allocating per element
+// or reallocating on every ~1.25x append growth. The window reads its
+// samples in place as at most two contiguous views (All), which is what
+// a ring offers over a chain of blocks. The message FIFOs of internal/msg
+// need no views, and many of them share one hub, so they chain fixed
+// blocks from a per-hub free list instead: a ring per FIFO would double
+// on its own and leave behind arrays up to twice its peak.
 package ring
 
 // minCap is the length of a ring's first array: one engine worker batch
@@ -18,7 +18,7 @@ const minCap = 64
 // Ring is a FIFO of T values. The zero value is an empty ring.
 //
 // Removed elements are not cleared: their slots keep the values until a
-// later Push reuses them, which is what lets Pop and Take hand out views
+// later Push reuses them, which is what lets Pop hand out a pointer
 // without copying.
 type Ring[T any] struct {
 	buf  []T // len(buf) is 0 or a power of two
@@ -77,21 +77,6 @@ func (r *Ring[T]) Pop() *T {
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return p
-}
-
-// Take removes up to max of the oldest elements (max <= 0 means all) and
-// returns them, oldest first, as head followed by tail. Both are views
-// into the array, valid until the next Push; tail is empty unless the
-// removed run wraps around the end of the array.
-func (r *Ring[T]) Take(max int) (head, tail []T) {
-	n := r.n
-	if max > 0 && max < n {
-		n = max
-	}
-	head, tail = r.segments(n)
-	r.head = (r.head + n) & (len(r.buf) - 1)
-	r.n -= n
-	return head, tail
 }
 
 // All returns every element, oldest first, as head followed by tail,
