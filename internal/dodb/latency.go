@@ -1,9 +1,10 @@
 package dodb
 
 import (
+	"math/bits"
 	"time"
 
-	"ecldb/internal/ring"
+	"ecldb/internal/msg"
 )
 
 // latencySample is one completed query.
@@ -18,9 +19,11 @@ type latencySample struct {
 // violated, Section 5.2).
 type LatencyTracker struct {
 	window time.Duration
-	// win holds the window's samples oldest first, in a ring that doubles
-	// only when full: a constant completion rate reuses one array.
-	win   ring.Ring[latencySample]
+	// win holds the window's samples oldest first in a chain of blocks
+	// drawn from free, where evicted blocks go back: a constant
+	// completion rate reuses the same blocks.
+	win   msg.FIFO[latencySample]
+	free  msg.FreeList[latencySample]
 	total int64 // lifetime completed queries
 	// winSum is the exact sum of the latencies currently in the window,
 	// maintained incrementally (added on Record, subtracted on evict).
@@ -28,8 +31,7 @@ type LatencyTracker struct {
 	// rescan sum bit for bit regardless of accumulation order.
 	winSum time.Duration
 	// selScratch is the reusable buffer of the exact Percentile's
-	// quickselect, sized to the ring's capacity so it reallocates only
-	// when the ring grows.
+	// quickselect; it grows only when the window outgrows it.
 	selScratch []time.Duration
 
 	threshold time.Duration
@@ -46,7 +48,7 @@ func NewLatencyTracker(window time.Duration) *LatencyTracker {
 
 // Record adds a completed query.
 func (lt *LatencyTracker) Record(latency, now time.Duration) {
-	*lt.win.Push() = latencySample{at: now, latency: latency}
+	*lt.win.Push(&lt.free) = latencySample{at: now, latency: latency}
 	lt.winSum += latency
 	lt.total++
 	if lt.threshold > 0 && latency > lt.threshold {
@@ -71,7 +73,7 @@ func (lt *LatencyTracker) evict(now time.Duration) {
 	cutoff := now - lt.window
 	for s := lt.win.Front(); s != nil && s.at < cutoff; s = lt.win.Front() {
 		lt.winSum -= s.latency
-		lt.win.Pop()
+		lt.win.Pop(&lt.free)
 	}
 }
 
@@ -108,18 +110,19 @@ func (lt *LatencyTracker) Percentile(now time.Duration, p float64) time.Duration
 	if n == 0 {
 		return 0
 	}
-	if len(lt.selScratch) < lt.win.Cap() {
-		lt.selScratch = make([]time.Duration, lt.win.Cap())
+	if cap(lt.selScratch) < n {
+		// A power of two: a growing window reallocates it at most
+		// log2 times.
+		lt.selScratch = make([]time.Duration, 0, 1<<bits.Len(uint(n)))
 	}
-	lats := lt.selScratch[:n]
-	head, tail := lt.win.All()
-	i := 0
-	for _, seg := range [2][]latencySample{head, tail} {
-		for _, s := range seg {
-			lats[i] = s.latency
-			i++
+	lats := lt.selScratch[:0]
+	runs := lt.win.Runs()
+	for run := runs.Next(); run != nil; run = runs.Next() {
+		for _, s := range run {
+			lats = append(lats, s.latency)
 		}
 	}
+	lt.selScratch = lats
 	idx := int(p*float64(len(lats))) - 1
 	if idx < 0 {
 		idx = 0
@@ -192,9 +195,9 @@ func (lt *LatencyTracker) Trend(now time.Duration) float64 {
 	// Sum oldest to newest: float addition is not associative, so the
 	// order is part of the result and of every digest built on it.
 	var sx, sy, sxx, sxy float64
-	head, tail := lt.win.All()
-	for _, seg := range [2][]latencySample{head, tail} {
-		for _, s := range seg {
+	runs := lt.win.Runs()
+	for run := runs.Next(); run != nil; run = runs.Next() {
+		for _, s := range run {
 			x := s.at.Seconds()
 			y := s.latency.Seconds()
 			sx += x

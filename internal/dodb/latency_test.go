@@ -1,7 +1,9 @@
 package dodb
 
 import (
+	"math"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
@@ -77,7 +79,7 @@ func TestLatencyTrackerEmpty(t *testing.T) {
 
 func TestLatencyTrackerCompaction(t *testing.T) {
 	lt := NewLatencyTracker(10 * time.Millisecond)
-	// Push enough samples to wrap the window's ring many times.
+	// Push enough samples to recycle the window's blocks many times.
 	for i := 0; i < 20000; i++ {
 		lt.Record(time.Millisecond, time.Duration(i)*time.Millisecond)
 	}
@@ -158,104 +160,138 @@ func slidingLatency(i int) time.Duration {
 	return time.Duration(1+(i*7919)%50000) * time.Microsecond
 }
 
-// A stream whose rate steps up and back down makes the window's ring wrap
-// around many times at each size and grow twice. Average, Percentile and
-// Trend must equal a from-scratch rescan bit for bit throughout — checked
-// on every growth and every change of the window's wrap state, and on a
-// sparse sample elsewhere — and the ring must stop at the power of two
-// above the largest window.
+// runCount returns the number of blocks the window's samples span.
+func runCount(lt *LatencyTracker) int {
+	n := 0
+	runs := lt.win.Runs()
+	for run := runs.Next(); run != nil; run = runs.Next() {
+		n++
+	}
+	return n
+}
+
+// A stream whose rate steps up and back down, with gaps longer than the
+// window between its phases, moves the window across block boundaries
+// at each size and empties it three times. Average, Percentile and Trend
+// must equal a from-scratch rescan bit for bit throughout — checked
+// whenever the window's samples start or stop spanning a block, at the
+// first samples after each restart of the emptied window, and on a
+// sparse sample elsewhere.
 func TestLatencyTrackerRingMatchesRescan(t *testing.T) {
-	const window = 300 * time.Millisecond
-	// Phases of (spacing, samples): ~3000, then ~12000, then ~3000
-	// samples in the window.
+	const window = 30 * time.Millisecond
+	// Phases of (spacing, samples): ~300, then ~1200, then ~300 samples
+	// in the window, then a short burst that never fills a block. Each
+	// phase after the first starts a window later than the last sample
+	// before it.
 	phases := []struct {
 		step time.Duration
 		n    int
-	}{{100 * time.Microsecond, 20000}, {25 * time.Microsecond, 40000}, {100 * time.Microsecond, 20000}}
+	}{{100 * time.Microsecond, 2000}, {25 * time.Microsecond, 4000}, {100 * time.Microsecond, 2000}, {time.Millisecond, 20}}
 	lt := NewLatencyTracker(window)
 	ref := &naiveWindow{window: window}
-	growths, wrapChanges, i := 0, 0, 0
+	check := func(i int, now time.Duration) {
+		t.Helper()
+		if got, want := lt.Average(now), ref.average(now); got != want {
+			t.Fatalf("sample %d: Average = %v, rescan %v", i, got, want)
+		}
+		for _, p := range []float64{0.5, 0.95, 0.99} {
+			if got, want := lt.Percentile(now, p), ref.percentile(now, p); got != want {
+				t.Fatalf("sample %d: P%v = %v, rescan %v", i, p*100, got, want)
+			}
+		}
+		if got, want := lt.Trend(now), ref.trend(now); got != want {
+			t.Fatalf("sample %d: Trend = %v, rescan %v (must be bit-identical)", i, got, want)
+		}
+		if _, lat := ref.in(now); lt.Count(now) != len(lat) {
+			t.Fatalf("sample %d: Count = %d, rescan %d", i, lt.Count(now), len(lat))
+		}
+	}
+	edges, runs, i := 0, 0, 0
 	now := time.Duration(0)
-	wasWrapped := false
-	for _, ph := range phases {
+	for k, ph := range phases {
+		if k > 0 {
+			// Past the window: every sample is evicted, and the next
+			// Record refills the emptied window's block from the front.
+			now += window + time.Millisecond
+			check(i, now)
+			if lt.Count(now) != 0 {
+				t.Fatalf("phase %d: window holds %d samples after a gap", k, lt.Count(now))
+			}
+		}
 		for j := 0; j < ph.n; j, i = j+1, i+1 {
 			now += ph.step
 			lat := slidingLatency(i)
-			capBefore := lt.win.Cap()
 			lt.Record(lat, now)
 			ref.at = append(ref.at, now)
 			ref.lat = append(ref.lat, lat)
-			grew := lt.win.Cap() != capBefore
-			if grew {
-				growths++
-			}
-			_, tail := lt.win.All()
-			wrapped := len(tail) > 0
-			edge := wrapped != wasWrapped
+			r := runCount(lt)
+			edge := r != runs
 			if edge {
-				wrapChanges++
+				edges++
 			}
-			wasWrapped = wrapped
+			runs = r
 			// The rescan reference is O(window) per query.
-			if !grew && !edge && i%997 != 0 {
+			if !edge && j > 2 && i%997 != 0 {
 				continue
 			}
-			if got, want := lt.Average(now), ref.average(now); got != want {
-				t.Fatalf("sample %d: Average = %v, rescan %v", i, got, want)
-			}
-			for _, p := range []float64{0.5, 0.95, 0.99} {
-				if got, want := lt.Percentile(now, p), ref.percentile(now, p); got != want {
-					t.Fatalf("sample %d: P%v = %v, rescan %v", i, p*100, got, want)
-				}
-			}
-			if got, want := lt.Trend(now), ref.trend(now); got != want {
-				t.Fatalf("sample %d: Trend = %v, rescan %v (must be bit-identical)", i, got, want)
-			}
-			if _, lat := ref.in(now); lt.Count(now) != len(lat) {
-				t.Fatalf("sample %d: Count = %d, rescan %d", i, lt.Count(now), len(lat))
-			}
+			check(i, now)
 		}
 	}
-	// 3001 samples need 4096 slots, 12001 need 16384: the ring grows
-	// from 4096 to 16384 in the dense phase and never shrinks.
-	if c := lt.win.Cap(); c != 16384 {
-		t.Fatalf("window ring cap %d, want 16384 for a window of at most ~12000 samples", c)
-	}
-	if growths < 2 || wrapChanges < 10 {
-		t.Fatalf("%d growths and %d wrap-state changes: ring not exercised", growths, wrapChanges)
+	// Every 63 samples start a block and, once the window is full, drop
+	// one: the three long phases cross about 250 block boundaries.
+	if edges < 200 {
+		t.Fatalf("%d block-span changes: window not exercised", edges)
 	}
 }
 
 // A tracker fed a constant stream whose window holds W samples allocates
-// at most 2·nextPow2(W)·16 bytes for the window in total: the ring
-// doubles only when full, so its discarded arrays sum to less than the
-// final one. (Appending to a slice with a compaction rule allocated 35 MB
-// for W = 132k: append grows large slices by ~1.25x, and the array filled
-// before half of it was consumed.)
+// at most ceil(peak/63) + 1 blocks of 1 KiB for the window, where peak is
+// the most samples it held, plus Percentile's scratch: evicted blocks
+// return to the window's free list and are taken again. (Appending to a
+// slice with a compaction rule allocated 35 MB for W = 132k: append grows
+// large slices by ~1.25x, and the array filled before half of it was
+// consumed.)
 func TestLatencyTrackerGrowthBytes(t *testing.T) {
 	const (
 		w      = 132_000
 		window = time.Second
-		final  = 1 << 18 // nextPow2(w + 1)
 	)
 	step := window / w
-	lt := NewLatencyTracker(window)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 3*w; i++ {
-		lt.Record(slidingLatency(i), time.Duration(i)*step)
+	var lt *LatencyTracker
+	peak := 0
+	// ReadMemStats counts the whole process's allocations, and the
+	// runtime now and then allocates on its own. Collecting first and
+	// keeping the collector off removes a GC cycle's mark workers; the
+	// rest only ever adds, so the fewest bytes of three runs are the
+	// tracker's own.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		lt, peak = NewLatencyTracker(window), 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 3*w; i++ {
+			lt.Record(slidingLatency(i), time.Duration(i)*step)
+			// Record pushes before it evicts, so the window held one
+			// more sample than it keeps.
+			peak = max(peak, lt.win.Len()+1)
+		}
+		lt.Percentile(time.Duration(3*w-1)*step, 0.99)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	if lt.win.Cap() != final {
-		t.Fatalf("window ring cap %d, want %d", lt.win.Cap(), final)
+	if peak < w {
+		t.Fatalf("window peaked at %d samples, want at least %d", peak, w)
 	}
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*final*16); got > limit {
-		t.Fatalf("a %d-sample window allocated %d bytes, want at most %d", w, got, limit)
+	blocks := uint64((peak+62)/63 + 1)
+	if limit := blocks*1024 + uint64(cap(lt.selScratch))*8; got > limit {
+		t.Fatalf("a %d-sample window allocated %d bytes, want at most %d (%d blocks and the scratch)", w, got, limit, blocks)
 	}
 }
 
-// Once warm, recording into a sliding window allocates nothing: the ring
-// reuses its array.
+// Once warm, recording into a sliding window allocates nothing: evicted
+// blocks are taken again.
 func TestLatencyTrackerRecordAllocatesNothing(t *testing.T) {
 	const step = 100 * time.Microsecond
 	lt := NewLatencyTracker(300 * time.Millisecond)
@@ -264,7 +300,7 @@ func TestLatencyTrackerRecordAllocatesNothing(t *testing.T) {
 		lt.Record(slidingLatency(i), time.Duration(i)*step)
 		i++
 	}
-	for i < 50000 { // many wrap-arounds at the steady cap
+	for i < 50000 { // many trips through the window's blocks
 		record()
 	}
 	allocs := testing.AllocsPerRun(1, func() {
@@ -279,7 +315,7 @@ func TestLatencyTrackerRecordAllocatesNothing(t *testing.T) {
 
 // BenchmarkLatencyTrackerRecord measures Record on a sliding window at a
 // constant rate, the engine's per-completed-query path: ~3000 samples in
-// a 4096-slot ring.
+// about 49 blocks of 63.
 func BenchmarkLatencyTrackerRecord(b *testing.B) {
 	const step = 100 * time.Microsecond
 	lt := NewLatencyTracker(300 * time.Millisecond)

@@ -102,7 +102,7 @@ func BenchmarkEngineStep(b *testing.B) {
 				e.Step(now, quantum, act, bud)
 			}
 			// Warm up past the first full latency window, so the window
-			// ring, the queues and the freelists are at steady size.
+			// blocks, the queues and the freelists are at steady size.
 			for i := 0; i < 1500; i++ {
 				admit()
 				step()

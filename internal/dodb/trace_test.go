@@ -68,8 +68,11 @@ func TestQueryPhaseConservation(t *testing.T) {
 
 	// Spans are emitted in completion order, exactly when the tracker
 	// records its sample — so span i corresponds to sample i.
-	head, tail := e.latency.win.All()
-	samples := append(append([]latencySample(nil), head...), tail...)
+	var samples []latencySample
+	runs := e.latency.win.Runs()
+	for run := runs.Next(); run != nil; run = runs.Next() {
+		samples = append(samples, run...)
+	}
 	if len(samples) != len(spans) {
 		t.Fatalf("tracker holds %d samples, tracer %d spans", len(samples), len(spans))
 	}

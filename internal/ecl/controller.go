@@ -215,9 +215,6 @@ func (c *Controller) due() (at time.Duration, tick bool, i int, ok bool) {
 	return at, tick, i, ok
 }
 
-// System returns the system-level ECL.
-func (c *Controller) System() *SystemECL { return c.system }
-
 // Socket returns the socket-level ECL of one processor.
 func (c *Controller) Socket(i int) *SocketECL { return c.sockets[i] }
 

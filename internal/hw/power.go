@@ -116,14 +116,6 @@ func (p PowerParams) UncorePowerW(uncoreMHz int, memUtil float64) units.Watt {
 	return units.WattsOf(base + dyn*n*n + load*clamp01(memUtil)*n)
 }
 
-// CorePowerW returns the power of one active physical core at the given
-// clock and combined activity level (0 = idle in C0, 1 = one sibling fully
-// busy, up to 1+HTSiblingFrac with both siblings busy).
-func (p PowerParams) CorePowerW(coreMHz int, activity float64) units.Watt {
-	ghz := float64(coreMHz) / 1000.0
-	return units.WattsOf(p.CoreIdleW.Watts() + activity*p.CoreDynCoefW*ghz*ghz)
-}
-
 // DRAMPowerW returns the DRAM power of one socket given traffic in GB/s.
 func (p PowerParams) DRAMPowerW(trafficGBs float64) units.Watt {
 	if trafficGBs < 0 {

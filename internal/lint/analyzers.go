@@ -22,7 +22,7 @@ func CorePackages() []string {
 	names := []string{
 		"vtime", "units", "hw", "dodb", "msg", "ecl", "energy", "obs",
 		"obs/trace", "obs/energyattr", "perfmodel", "sim", "storage",
-		"workload", "loadprofile", "trace", "ring",
+		"workload", "loadprofile", "trace",
 	}
 	core := make([]string, 0, len(names))
 	for _, n := range names {
@@ -59,11 +59,6 @@ func DefaultLayering() LayeringConfig {
 				Pkg:    in("units"),
 				Forbid: []string{modulePath + "/internal/"},
 				Reason: "the quantity types are a leaf vocabulary package and import no internal package",
-			},
-			{
-				Pkg:    in("ring"),
-				Forbid: []string{modulePath + "/internal/"},
-				Reason: "the ring container is a leaf data structure under dodb and msg and imports no internal package",
 			},
 			{
 				Pkg:    in("hw"),

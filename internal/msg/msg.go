@@ -60,46 +60,56 @@ type Message struct {
 	SleepAtDeliver time.Duration
 }
 
-// blockLen is the number of messages in a block. 63 messages and the
-// link take 4,040 bytes, which the allocator serves from its 4 KiB size
-// class; 64 and a link would round up to 4,864.
+// blockLen is the number of items in a block. 63 messages and the link
+// take 4,040 bytes, which the allocator serves from its 4 KiB size class;
+// 64 and a link would round up to 4,864. 63 16-byte samples of the
+// latency window (internal/dodb) and the link take 1,016 bytes, the
+// 1 KiB class.
 const blockLen = 63
 
-// block is a fixed run of messages. A fifo links its blocks oldest to
-// newest; the hub's free list links the unused ones.
-type block struct {
-	msgs [blockLen]Message
-	next *block
+// block is a fixed run of items. A FIFO links its blocks oldest to
+// newest; a free list links the unused ones.
+type block[T any] struct {
+	items [blockLen]T
+	next  *block[T]
 }
 
-// fifo is a FIFO of messages over a chain of blocks drawn from one hub's
-// free list. Its messages run from head.msgs[hi] to tail.msgs[ti-1]. The
-// partition queues and the outbound buffers of a hub are fifos over the
-// same free list, so the hub allocates about its peak backlog once,
-// wherever the messages wait.
-type fifo struct {
-	head, tail *block
+// FreeList holds the blocks no FIFO of its owner holds. The FIFOs that
+// share one take blocks from it and return drained ones, so together
+// they allocate about their peak length once. The zero value is empty.
+type FreeList[T any] struct{ head *block[T] }
+
+// FIFO is a FIFO of T values over a chain of blocks drawn from a free
+// list. Its items run from head.items[hi] to tail.items[ti-1]. The
+// partition queues and the outbound buffers of a hub are FIFOs over the
+// hub's free list, so the hub allocates about its peak backlog once,
+// wherever the messages wait. The zero value is empty.
+type FIFO[T any] struct {
+	head, tail *block[T]
 	hi, ti     int // next slot to pop in head, next slot to fill in tail
-	n          int // messages held
+	n          int // items held
 }
 
-// push appends a message and returns its slot for the caller to
-// overwrite whole. The pointer is valid until the next push to f. A
-// block is taken from *free only when the tail block is full, and
-// allocated only when *free is empty.
-func (f *fifo) push(free **block) *Message {
+// Len returns the number of items.
+func (f *FIFO[T]) Len() int { return f.n }
+
+// Push appends an item and returns its slot for the caller to overwrite
+// whole. The pointer is valid until the next Push to f. A block is taken
+// from free only when the tail block is full, and allocated only when
+// free is empty.
+func (f *FIFO[T]) Push(free *FreeList[T]) *T {
 	switch {
 	case f.n == 0 && f.head != nil:
-		// The fifo ran empty in its last block: refill it from the
-		// front. Only the pointer of the last pop pointed into it.
+		// The FIFO ran empty in its last block: refill it from the
+		// front. Only the pointer of the last Pop pointed into it.
 		f.hi, f.ti = 0, 0
 	case f.tail == nil || f.ti == blockLen:
-		b := *free
+		b := free.head
 		if b == nil {
-			//ecllint:allow hotpath a block is allocated only when the free list is empty, so the hub allocates about its peak backlog once
-			b = new(block)
+			//ecllint:allow hotpath a block is allocated only when the free list is empty, so the FIFOs sharing it allocate about their peak length once
+			b = new(block[T])
 		}
-		*free, b.next = b.next, nil
+		free.head, b.next = b.next, nil
 		if f.tail == nil {
 			f.head = b
 		} else {
@@ -107,38 +117,74 @@ func (f *fifo) push(free **block) *Message {
 		}
 		f.tail, f.ti = b, 0
 	}
-	m := &f.tail.msgs[f.ti]
+	p := &f.tail.items[f.ti]
 	f.ti++
 	f.n++
-	return m
+	return p
 }
 
-// pop removes the oldest message and returns a pointer to its slot, or
-// nil when f is empty. The pointer is valid until the next push to or pop
-// from f: a drained block goes back to *free one pop late, so the message
-// last returned stays in place while other fifos of the hub take blocks.
-func (f *fifo) pop(free **block) *Message {
+// Pop removes the oldest item and returns a pointer to its slot, or nil
+// when f is empty. The pointer is valid until the next Push to or Pop
+// from f: a drained block goes back to free one Pop late, so the item
+// last returned stays in place while other FIFOs on free take blocks.
+func (f *FIFO[T]) Pop(free *FreeList[T]) *T {
 	if f.n == 0 {
 		if f.head != nil {
-			f.head.next, *free = *free, f.head
-			f.head, f.tail, f.hi, f.ti = nil, nil, 0, 0
+			f.head.next, free.head = free.head, f.head
+			*f = FIFO[T]{}
 		}
 		return nil
 	}
 	if f.hi == blockLen {
 		b := f.head
 		f.head, f.hi = b.next, 0
-		b.next, *free = *free, b
+		b.next, free.head = free.head, b
 	}
-	m := &f.head.msgs[f.hi]
+	p := &f.head.items[f.hi]
 	f.hi++
 	f.n--
-	return m
+	return p
+}
+
+// Front returns the oldest item, or nil when f is empty. The pointer is
+// valid until the next Push to or Pop from f.
+func (f *FIFO[T]) Front() *T {
+	switch {
+	case f.n == 0:
+		return nil
+	case f.hi == blockLen:
+		return &f.head.next.items[0]
+	}
+	return &f.head.items[f.hi]
+}
+
+// Runs returns a walk over f's items, oldest first, one contiguous run
+// per block. The walk is valid until the next Push to or Pop from f.
+func (f *FIFO[T]) Runs() Runs[T] { return Runs[T]{b: f.head, i: f.hi, n: f.n} }
+
+// Runs walks a FIFO's items in block order; see FIFO.Runs.
+type Runs[T any] struct {
+	b    *block[T]
+	i, n int // next slot in b, items left
+}
+
+// Next returns the next run of items, or nil after the newest.
+func (r *Runs[T]) Next() []T {
+	if r.n == 0 {
+		return nil
+	}
+	if r.i == blockLen {
+		r.b, r.i = r.b.next, 0
+	}
+	run := r.b.items[r.i:min(r.i+r.n, blockLen)]
+	r.i += len(run)
+	r.n -= len(run)
+	return run
 }
 
 // queue is the FIFO of messages for one partition with an ownership flag.
 type queue struct {
-	fifo
+	FIFO[Message]
 	partition int
 	scanIdx   int // index in the hub's scan order (ready-bitmask bit)
 	owner     int // worker token holding the partition, or -1
@@ -162,18 +208,18 @@ type Hub struct {
 	scan       []*queue // queues in scan order (parallel to order)
 	order      []int    // partition scan order for fairness
 	scanCursor int
-	// outbound holds one fifo per socket of the router, indexed by the
+	// outbound holds one FIFO per socket of the router, indexed by the
 	// remote socket; the hub's own entry stays empty.
-	outbound []fifo
+	outbound []FIFO[Message]
 	outTotal int // messages across all outbound buffers
 	pending  int // local messages waiting
 	// ready is a bitmask over scan indices: bit i is set exactly when
 	// scan[i] is unowned and has pending messages, so Acquire finds the
 	// next serveable partition with two bit scans.
 	ready uint64
-	// free is the list of blocks no fifo holds. The queues and outbound
-	// buffers take blocks from it and return drained ones.
-	free *block
+	// free is the list of blocks no FIFO of the hub holds. The queues
+	// and outbound buffers take blocks from it and return drained ones.
+	free FreeList[Message]
 }
 
 // NewHub creates the hub of one socket with the given homed partitions,
@@ -237,7 +283,7 @@ func (h *Hub) EnqueueLocal(partition int) (*Message, error) {
 		//ecllint:allow hotpath cold error path; routing is validated when partitions are installed
 		return nil, fmt.Errorf("msg: partition %d not homed on socket %d", partition, h.socket)
 	}
-	m := q.push(&h.free)
+	m := q.Push(&h.free)
 	*m = Message{Partition: int32(partition)}
 	h.pending++
 	h.markReady(q)
@@ -250,7 +296,7 @@ func (h *Hub) EnqueueLocal(partition int) (*Message, error) {
 // place. The pointer is valid until the next enqueue toward the same
 // socket.
 func (h *Hub) enqueueRemote(remoteSocket, partition int) *Message {
-	m := h.outbound[remoteSocket].push(&h.free)
+	m := h.outbound[remoteSocket].Push(&h.free)
 	*m = Message{Partition: int32(partition)}
 	h.outTotal++
 	return m
@@ -344,7 +390,7 @@ func (h *Hub) DequeueOne(worker, partition int) (*Message, error) {
 		//ecllint:allow hotpath cold error path; ownership is enforced by Acquire before any dequeue
 		return nil, fmt.Errorf("msg: worker %d dequeuing partition %d owned by %d", worker, partition, q.owner)
 	}
-	m := q.pop(&h.free)
+	m := q.Pop(&h.free)
 	if m != nil {
 		h.pending--
 	}

@@ -6,25 +6,29 @@ import (
 	"runtime/debug"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 )
 
+// chainLen counts the blocks linked from b.
+func chainLen[T any](b *block[T]) int {
+	n := 0
+	for ; b != nil; b = b.next {
+		n++
+	}
+	return n
+}
+
 // hubBlocks counts the blocks a hub has allocated. A block is always in
-// one fifo's chain (a partition queue or an outbound buffer) or on the
+// one FIFO's chain (a partition queue or an outbound buffer) or on the
 // free list, and none is ever dropped.
 func hubBlocks(h *Hub) int {
-	n := 0
-	count := func(b *block) {
-		for ; b != nil; b = b.next {
-			n++
-		}
-	}
-	count(h.free)
+	n := chainLen(h.free.head)
 	for _, q := range h.scan {
-		count(q.head)
+		n += chainLen(q.head)
 	}
 	for i := range h.outbound {
-		count(h.outbound[i].head)
+		n += chainLen(h.outbound[i].head)
 	}
 	return n
 }
@@ -57,8 +61,117 @@ func minAllocs(f func()) float64 {
 // objects of 3,457 to 4,096 bytes; a larger block would round up to the
 // 4,864-byte class.
 func TestBlockFillsFourKiBClass(t *testing.T) {
-	if got := unsafe.Sizeof(block{}); got > 4096 || got <= 3456 {
+	if got := unsafe.Sizeof(block[Message]{}); got > 4096 || got <= 3456 {
 		t.Fatalf("block is %d bytes, want (3456, 4096]", got)
+	}
+}
+
+// A block of the latency window's 16-byte samples (internal/dodb) is
+// 63 × 16 bytes and the link, 1,016 bytes, served from the allocator's
+// 1 KiB size class (objects of 897 to 1,024 bytes).
+func TestSampleBlockFillsOneKiBClass(t *testing.T) {
+	type sample struct{ at, latency time.Duration }
+	if got := unsafe.Sizeof(block[sample]{}); got != 1016 {
+		t.Fatalf("sample block is %d bytes, want 1016", got)
+	}
+}
+
+// Property: any sequence of push bursts, single pops and pop runs keeps
+// a FIFO equal to a plain slice FIFO: the same items in the same order
+// through Pop, Front and the runs of Runs, across block boundaries,
+// drains to empty and the restart of an emptied FIFO. The FIFO and its
+// free list hold at most ceil(peak/blockLen) + 1 blocks, and every run
+// lies in one block.
+func TestFIFOMatchesSliceOracle(t *testing.T) {
+	f := func(ops []uint8) bool {
+		var q FIFO[int]
+		var free FreeList[int]
+		var oracle []int
+		seq, peak := 0, 0
+		pop := func() bool {
+			p := q.Pop(&free)
+			if len(oracle) == 0 {
+				return p == nil
+			}
+			if p == nil || *p != oracle[0] {
+				return false
+			}
+			oracle = oracle[1:]
+			return true
+		}
+		for _, op := range ops {
+			k := int(op>>2)%(2*blockLen) + 1
+			switch op % 4 {
+			case 0, 1: // push a burst of 1..126
+				for ; k > 0; k-- {
+					*q.Push(&free) = seq
+					oracle = append(oracle, seq)
+					seq++
+					peak = max(peak, len(oracle))
+				}
+			case 2: // pop one
+				if !pop() {
+					return false
+				}
+			case 3: // pop a run of 1..126, past empty when it is shorter
+				for ; k > 0; k-- {
+					if !pop() {
+						return false
+					}
+				}
+			}
+			if q.Len() != len(oracle) {
+				return false
+			}
+			if p := q.Front(); (p == nil) != (len(oracle) == 0) || (p != nil && *p != oracle[0]) {
+				return false
+			}
+			var all []int
+			runs := q.Runs()
+			for run := runs.Next(); run != nil; run = runs.Next() {
+				if len(run) == 0 || len(run) > blockLen {
+					return false
+				}
+				all = append(all, run...)
+			}
+			if len(all) != len(oracle) {
+				return false
+			}
+			for i := range all {
+				if all[i] != oracle[i] {
+					return false
+				}
+			}
+			if chainLen(q.head)+chainLen(free.head) > (peak+blockLen-1)/blockLen+1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Filling a FIFO to W items allocates one block per blockLen items, and
+// refilling it to W after a drain allocates nothing: drained blocks go
+// back to the free list and are taken again.
+func TestFIFOAllocatesPeakBlocksOnce(t *testing.T) {
+	const w = 50 * blockLen
+	var q FIFO[[16]byte]
+	var free FreeList[[16]byte]
+	fill := func() {
+		for i := 0; i < w; i++ {
+			*q.Push(&free) = [16]byte{}
+		}
+		for q.Pop(&free) != nil {
+		}
+	}
+	if got := minAllocs(func() { q, free = FIFO[[16]byte]{}, FreeList[[16]byte]{}; fill() }); got != w/blockLen {
+		t.Fatalf("filling to %d items allocated %.0f times, want %d blocks", w, got, w/blockLen)
+	}
+	if got := minAllocs(fill); got != 0 {
+		t.Fatalf("refilling to %d items allocated %.0f times, want 0", w, got)
 	}
 }
 
@@ -70,7 +183,7 @@ func TestBlockFillsFourKiBClass(t *testing.T) {
 // min(TransferBatch, backlog), as one slice FIFO per remote socket
 // would. Dequeue runs may pop past a queue's end, which hands its drained
 // block back. The hub allocates at most ceil(peak/blockLen) + 2 blocks
-// per fifo: a fifo of n messages spans at most ceil(n/blockLen) + 1
+// per FIFO: a FIFO of n messages spans at most ceil(n/blockLen) + 1
 // blocks.
 func TestPooledQueuesMatchSliceOracle(t *testing.T) {
 	const parts = 8

@@ -50,7 +50,7 @@ func NewRouter(homes [][]int) (*Router, error) {
 			r.home[p] = s
 		}
 		h := NewHub(s, parts)
-		h.outbound = make([]fifo, len(homes))
+		h.outbound = make([]FIFO[Message], len(homes))
 		r.hubs = append(r.hubs, h)
 	}
 	return r, nil
@@ -128,7 +128,7 @@ func (r *Router) RunCommEndpoint(socket int) (TransferReport, error) {
 		for k := min(TransferBatch, out.n); k > 0; k-- {
 			// m stays valid through the remote hub's enqueue: that draws
 			// from the remote hub's free list, not from h's.
-			m := out.pop(&h.free)
+			m := out.Pop(&h.free)
 			h.outTotal--
 			if r.deliver != nil {
 				r.deliver(remote, m)

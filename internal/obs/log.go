@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -232,23 +231,3 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 }
 
 const maxFinite = 1.7976931348623157e308
-
-// CountsString renders the per-type counters as a fixed-order
-// human-readable line, e.g. for debug output. Types with zero count are
-// skipped.
-func (l *Log) CountsString() string {
-	if l == nil {
-		return ""
-	}
-	s := ""
-	for i := 0; i < numTypes; i++ {
-		if l.counts[i] == 0 {
-			continue
-		}
-		if s != "" {
-			s += " "
-		}
-		s += fmt.Sprintf("%s=%d", Type(i), l.counts[i])
-	}
-	return s
-}

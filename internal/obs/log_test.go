@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -146,16 +145,5 @@ func TestTypeStrings(t *testing.T) {
 	}
 	if Type(200).String() != "Unknown" {
 		t.Fatal("out-of-range type not Unknown")
-	}
-}
-
-func TestCountsString(t *testing.T) {
-	l := NewLog(0)
-	l.Emit(Event{Type: EvSafetyValve})
-	l.Emit(Event{Type: EvSafetyValve})
-	l.Emit(Event{Type: EvRTICycle})
-	s := l.CountsString()
-	if !strings.Contains(s, "SafetyValve=2") || !strings.Contains(s, "RTICycle=1") {
-		t.Fatalf("CountsString = %q", s)
 	}
 }

@@ -87,40 +87,6 @@ func (s *Series) Percentile(p float64) float64 {
 	return sorted[idx]
 }
 
-// Integrate computes the time integral of the series over [0, end]
-// (piecewise-constant, each value holding until the next sample; the
-// final value holds until end). Samples at or after end contribute
-// nothing, and a segment straddling end is clipped to it, so an
-// integration horizon shorter than the series never over-counts. For a
-// power series in watts this yields joules.
-func (s *Series) Integrate(end time.Duration) float64 {
-	total := 0.0
-	for i, t := range s.Times {
-		if t >= end {
-			break
-		}
-		next := end
-		if i+1 < len(s.Times) && s.Times[i+1] < end {
-			next = s.Times[i+1]
-		}
-		if next > t {
-			total += s.Values[i] * (next - t).Seconds()
-		}
-	}
-	return total
-}
-
-// CountAbove returns how many samples exceed the threshold.
-func (s *Series) CountAbove(threshold float64) int {
-	n := 0
-	for _, v := range s.Values {
-		if v > threshold {
-			n++
-		}
-	}
-	return n
-}
-
 // Recorder collects named series.
 type Recorder struct {
 	series map[string]*Series
