@@ -48,14 +48,23 @@ func TestStepSteadyStateAllocatesNothing(t *testing.T) {
 // drains a fraction of them.
 //
 // The measured cycles are 4,500–4,999 (AllocsPerRun runs its function
-// once unmeasured first). Written state keeps growing after that: with
-// a warm-up of 100,000 cycles instead of 4,000,
-// split:kv-indexed+tatp-indexed allocates 3 times in its measured
-// cycles, every one in storage.(*BTree).newNode and its carves, reached
-// from execTATP's tp.cfTree.Put once the call-forwarding index has used
-// up the slab it was built with (a memory profile at MemProfileRate=1
-// over the measured cycles shows no other site). That is a table
-// growing by its inserts, not a buffer of the submit+drain cycle.
+// once unmeasured first). By then no TATP partition's call_forwarding
+// table holds more than 196 rows of its 640-row reserve. Written state
+// keeps growing after that. With a warm-up of 100,000 cycles instead of
+// 4,000, split:kv-indexed+tatp-indexed allocates 3 times in its measured
+// cycles, and a memory profile at MemProfileRate=1 shows these sites
+// allocating once a table outgrows its reserve:
+//   - storage.(*BTree).newNode and its carves, from execTATP's
+//     tp.cfTree.Put once the call-forwarding index has used up the slab
+//     it was built with: the 3 measured allocations;
+//   - storage.(*Column).Append, from execTATP's tp.callFwd.Insert once
+//     the table passes its 640 rows: during the warm-up only, which
+//     leaves each table between 3,072 and 4,096 rows;
+//   - storage.(*HashIndex32).grow, from execKVPut's Upsert of a fresh
+//     key: in AllocsPerRun's unmeasured first run.
+//
+// Each is a table growing by its inserts, not a buffer of the
+// submit+drain cycle.
 func TestStepDrainAllocationBudget(t *testing.T) {
 	cases := append([]streamCase{{workload.NewKV(true), 2 * 2400 * 512}}, streamWorkloads()...)
 	for _, c := range cases {

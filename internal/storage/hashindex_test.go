@@ -142,3 +142,44 @@ func TestHashIndexMemBytes(t *testing.T) {
 		t.Errorf("MemBytes = %d, want %d", got, want)
 	}
 }
+
+// TestNewHashIndex32SizingContract checks the sizing rule the TATP and kv
+// partitions rely on: NewHashIndex32(c) takes in c distinct keys without
+// growing, and its bucket count is the smallest power of two, at least
+// minBuckets, whose 7/8 load admits c entries. The sweep covers every c
+// up to 100, a stride through 20,000, and both sides of each power of
+// two's growth threshold (7,168/7,169 for 8,192 buckets).
+func TestNewHashIndex32SizingContract(t *testing.T) {
+	var cs []int
+	for c := 0; c <= 100; c++ {
+		cs = append(cs, c)
+	}
+	for c := 101; c <= 20000; c += 97 {
+		cs = append(cs, c)
+	}
+	for n := minBuckets; n*maxLoadNum/maxLoadDen <= 20000; n *= 2 {
+		edge := n * maxLoadNum / maxLoadDen
+		cs = append(cs, edge, edge+1)
+	}
+	for _, c := range cs {
+		h := NewHashIndex32(c)
+		bytes := h.MemBytes()
+		n := len(h.slots)
+		if n < minBuckets || n&(n-1) != 0 {
+			t.Fatalf("NewHashIndex32(%d): %d buckets, want a power of two >= %d", c, n, minBuckets)
+		}
+		if c*maxLoadDen > n*maxLoadNum {
+			t.Fatalf("NewHashIndex32(%d): %d buckets cannot hold %d entries at 7/8 load", c, n, c)
+		}
+		if n > minBuckets && c*maxLoadDen <= n/2*maxLoadNum {
+			t.Fatalf("NewHashIndex32(%d): %d buckets, but %d would hold %d entries", c, n, n/2, c)
+		}
+		for k := 0; k < c; k++ {
+			h.GetOrInsert(uint32(k)*2654435761, uint32(k))
+		}
+		if h.Len() != c || h.MemBytes() != bytes {
+			t.Fatalf("NewHashIndex32(%d): %d inserts left Len %d and %d bytes, want %d and %d",
+				c, c, h.Len(), h.MemBytes(), c, bytes)
+		}
+	}
+}

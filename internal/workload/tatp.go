@@ -17,6 +17,20 @@ import (
 const (
 	// tatpSubscribersPerPartition sizes each partition's subscriber set.
 	tatpSubscribersPerPartition = 4096
+	// tatpFacilityRows is the row reserve of access_info and
+	// special_facility. Each subscriber has one or two rows with equal
+	// chance, so a partition holds 4,096 + Binomial(4,096, ½) rows: mean
+	// 6,144, standard deviation 32. The reserve is the mean plus 6 σ
+	// (192 rows); a partition past it has odds of about 10⁻⁹ and only
+	// regrows its columns. Each table's hash index (NewHashIndex32) then
+	// takes 8,192 buckets, which hold 7,168 entries before growing.
+	tatpFacilityRows = tatpSubscribersPerPartition*3/2 + 6*32
+	// tatpCallForwardingRows is the row reserve of call_forwarding,
+	// which is empty at build and grows by the run's inserts (a delete
+	// removes only the index entry). In a tatp-spike rep the fullest
+	// partition reaches 489 to 513 rows (seeds 1 to 8); the reserve is
+	// that peak plus a quarter.
+	tatpCallForwardingRows = 640
 	// tatpIndexedOpInstr is the modeled cost of an indexed transaction
 	// step (index probe + row access).
 	tatpIndexedOpInstr = 3200
@@ -139,12 +153,12 @@ func (w *TATP) NewPartition(partition int, rng *rand.Rand) PartitionState {
 	st := &tatpPartition{
 		indexed:    w.indexed,
 		subscriber: mustTable("subscriber", []string{"k", "bit1", "msc_location", "vlr_location"}, key, tatpSubscribersPerPartition),
-		accessInfo: mustTable("access_info", []string{"k", "data1"}, key, tatpSubscribersPerPartition*2),
-		specialFac: mustTable("special_facility", []string{"k", "is_active", "data_a"}, key, tatpSubscribersPerPartition*2),
+		accessInfo: mustTable("access_info", []string{"k", "data1"}, key, tatpFacilityRows),
+		specialFac: mustTable("special_facility", []string{"k", "is_active", "data_a"}, key, tatpFacilityRows),
 		// call_forwarding is queried by key *ranges* (a subscriber's
 		// forwarding window), so the indexed variant maintains an
 		// ordered B+-tree instead of the hash index.
-		callFwd: mustTable("call_forwarding", []string{"k", "end_time", "number"}, "", tatpSubscribersPerPartition),
+		callFwd: mustTable("call_forwarding", []string{"k", "end_time", "number"}, "", tatpCallForwardingRows),
 	}
 	if w.indexed {
 		st.cfTree = storage.NewBTree()
@@ -277,7 +291,9 @@ func execTATP(st PartitionState, rng *rand.Rand, ctx uint64) {
 				tp.cfTree.Delete(tp.victim)
 			}
 		} else {
-			tp.rows = tp.cfKey.Scan(storage.EqualTo(sid<<20), tp.rows[:0])
+			// Scan for the subscriber's forwarding window, the range
+			// the indexed variant walks.
+			tp.rows = tp.cfKey.Scan(storage.Between(sid<<20, sid<<20|0xfffff), tp.rows[:0])
 		}
 	}
 }

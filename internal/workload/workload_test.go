@@ -124,6 +124,104 @@ func TestKVPartitionFootprint(t *testing.T) {
 	}
 }
 
+// TestTATPPartitionFootprint pins each TATP table's reserve. The
+// subscriber table holds one row per subscriber, access_info and
+// special_facility tatpFacilityRows (their 1-2 rows per subscriber plus
+// a 6 σ margin), call_forwarding tatpCallForwardingRows; an indexed
+// table adds a HashIndex32 of 8-byte slots and state bytes. Over 1,000
+// partitions' worth of seeded draws per variant, every table reports
+// the bytes of a fresh one at its reserve, so no column or index
+// regrew during preload.
+func TestTATPPartitionFootprint(t *testing.T) {
+	const partitions = 1000
+	// fresh returns the bytes of an empty table shaped like tab.
+	fresh := func(tab *storage.Table, capacity int) int {
+		var names []string
+		for _, c := range tab.Columns() {
+			names = append(names, c.Name())
+		}
+		key := ""
+		if tab.Indexed() {
+			key = names[0]
+		}
+		f, err := storage.NewTable(tab.Name(), names, key, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.MemBytes()
+	}
+	for _, v := range []struct {
+		indexed bool
+		seed    int64
+	}{{true, 7}, {false, 8}} {
+		// Column bytes per table, then the index bytes of the indexed
+		// variant: 8,192 buckets of 9 bytes for every keyed table.
+		want := map[string]int{
+			"subscriber":       4 * 4096 * 8,
+			"access_info":      2 * 6336 * 8,
+			"special_facility": 3 * 6336 * 8,
+			"call_forwarding":  3 * 640 * 8,
+		}
+		if v.indexed {
+			want["subscriber"] += 8192 * 9
+			want["access_info"] += 8192 * 9
+			want["special_facility"] += 8192 * 9
+		}
+		rng := rand.New(rand.NewSource(v.seed))
+		w := NewTATP(v.indexed)
+		largest := 0
+		for p := 0; p < partitions; p++ {
+			st := w.NewPartition(p, rng).(*tatpPartition)
+			for _, tab := range []*storage.Table{st.subscriber, st.accessInfo, st.specialFac, st.callFwd} {
+				if got := tab.MemBytes(); got != want[tab.Name()] {
+					t.Fatalf("indexed=%v partition %d: %s MemBytes = %d, want %d",
+						v.indexed, p, tab.Name(), got, want[tab.Name()])
+				}
+			}
+			if st.accessInfo.Rows() != st.specialFac.Rows() {
+				t.Fatalf("indexed=%v partition %d: access_info has %d rows, special_facility %d",
+					v.indexed, p, st.accessInfo.Rows(), st.specialFac.Rows())
+			}
+			largest = max(largest, st.accessInfo.Rows())
+			if p > 0 {
+				continue
+			}
+			for _, tab := range []struct {
+				t        *storage.Table
+				capacity int
+			}{
+				{st.subscriber, tatpSubscribersPerPartition},
+				{st.accessInfo, tatpFacilityRows},
+				{st.specialFac, tatpFacilityRows},
+				{st.callFwd, tatpCallForwardingRows},
+			} {
+				if f := fresh(tab.t, tab.capacity); f != want[tab.t.Name()] {
+					t.Fatalf("indexed=%v: a fresh %s has %d bytes, want %d", v.indexed, tab.t.Name(), f, want[tab.t.Name()])
+				}
+			}
+		}
+		t.Logf("indexed=%v: largest access_info/special_facility over %d partitions: %d rows of %d reserved",
+			v.indexed, partitions, largest, tatpFacilityRows)
+	}
+}
+
+// TestTATPDeleteCallForwardingScansWindow: the non-indexed
+// DeleteCallForwarding scans the subscriber's forwarding window, the key
+// range the indexed variant walks, so it finds the row an
+// InsertCallForwarding wrote for that subscriber and none of a
+// neighbour's.
+func TestTATPDeleteCallForwardingScansWindow(t *testing.T) {
+	rng := testRng()
+	st := NewTATP(false).NewPartition(0, rng).(*tatpPartition)
+	const sid = 17
+	execTATP(st, rng, sid<<3|uint64(tatpInsertCallForwarding))
+	execTATP(st, rng, (sid+1)<<3|uint64(tatpInsertCallForwarding))
+	execTATP(st, rng, sid<<3|uint64(tatpDeleteCallForwarding))
+	if len(st.rows) != 1 || st.cfKey.Get(st.rows[0])>>20 != sid {
+		t.Fatalf("delete scan for subscriber %d matched rows %v, want its one forwarding row", sid, st.rows)
+	}
+}
+
 func TestTATPMixCoversAllTransactions(t *testing.T) {
 	w := NewTATP(true)
 	rng := testRng()

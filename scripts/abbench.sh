@@ -1,52 +1,72 @@
 #!/usr/bin/env bash
-# abbench.sh — paired A/B runs of the repository benchmark against a base
-# revision.
+# abbench.sh — paired A/B runs against a base revision: of the repository
+# benchmark, or of one `go test -bench` row.
 #
 # Usage:
 #   scripts/abbench.sh [-n pairs] [-s seconds] [-e seed] <base-rev> [workload ...]
+#   scripts/abbench.sh -b <regexp> [-p pkg] [-n pairs] <base-rev>
 #
-#   -n  pairs per workload (default 10)
+#   -n  pairs (per workload; default 10)
 #   -s  perfbench --seconds budget of each run (default 30)
 #   -e  perfbench --seed (default 1)
+#   -b  pair the benchmark row that <regexp> selects (a -test.bench
+#       pattern matching exactly one row) instead of perfbench
+#   -p  the package of that row (default ., the root package)
 #   workloads default to kv-twitter, tatp-spike and idle-burst.
 #
-# The base revision is checked out in a detached `git worktree` under a
-# temporary directory, removed on exit. The head side is this checkout,
-# uncommitted changes included. For each workload the script runs
+# The base revision is cloned, detached, into a temporary directory that
+# is removed on exit. The head side is this checkout, uncommitted changes
+# included.
+#
+# Without -b, for each workload the script runs
 # `bash perfbench/run.sh --trace 0` on both trees, one run at a time, and
 # alternates which side goes first from pair to pair, so both sides see
 # the same drift of a shared host. Each run's build happens before its
 # measurement starts; the first build of the base tree fills its own
-# empty caches and is not timed by perfbench.
+# empty caches and is not timed by perfbench. A run that reports
+# "correct": false or a nonzero "failed" count is flagged on standard
+# error.
 #
-# For every end-to-end metric of perfbench's result line it prints the
-# per-pair ratios head/base, their median, the base's median with its
-# quartiles, the head's median, and a sign-test count: in how many pairs
-# head read lower, higher or equal, with the two-sided sign-test p-value
-# over the unequal pairs, then each side's value in every pair. A run
-# that reports "correct": false or a nonzero "failed" count is flagged on
-# standard error.
+# With -b, the package's test binary is built once per tree (`go test
+# -c`), and the pairs alternate `-test.run '^$' -test.bench <regexp>
+# -test.benchmem` runs of the two binaries from the package directory in
+# the same way; the metrics are the row's ns/op, B/op and allocs/op.
+#
+# For every metric it prints the per-pair ratios head/base, their median,
+# the base's median with its quartiles, the head's median, and a
+# sign-test count: in how many pairs head read lower, higher or equal,
+# with the two-sided sign-test p-value over the unequal pairs, then each
+# side's value in every pair.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 head_root=$(pwd)
 
+usage() {
+    echo "usage: $0 [-n pairs] [-s seconds] [-e seed] <base-rev> [workload ...]" >&2
+    echo "       $0 -b <regexp> [-p pkg] [-n pairs] <base-rev>" >&2
+    exit 2
+}
 pairs=10
 seconds=30
 seed=1
-while getopts "n:s:e:" opt; do
+bench=
+pkg=.
+while getopts "n:s:e:b:p:" opt; do
     case "$opt" in
     n) pairs=$OPTARG ;;
     s) seconds=$OPTARG ;;
     e) seed=$OPTARG ;;
-    *) echo "usage: $0 [-n pairs] [-s seconds] [-e seed] <base-rev> [workload ...]" >&2; exit 2 ;;
+    b) bench=$OPTARG ;;
+    p) pkg=$OPTARG ;;
+    *) usage ;;
     esac
 done
 shift $((OPTIND - 1))
-if [ $# -lt 1 ]; then
-    echo "usage: $0 [-n pairs] [-s seconds] [-e seed] <base-rev> [workload ...]" >&2
-    exit 2
+if [ $# -lt 1 ] || { [ -n "$bench" ] && [ $# -gt 1 ]; }; then
+    usage
 fi
-rev=$1
+base_name=$1
+rev=$(git rev-parse --verify "$base_name^{commit}")
 shift
 workloads=("$@")
 if [ ${#workloads[@]} -eq 0 ]; then
@@ -55,46 +75,14 @@ fi
 
 tmp=$(mktemp -d)
 base_root="$tmp/base"
-cleanup() {
-    git -C "$head_root" worktree remove --force "$base_root" 2>/dev/null || true
-    git -C "$head_root" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$base_root" "$rev"
-echo "abbench: base $(git -C "$base_root" rev-parse --short HEAD) ($rev), head $(git rev-parse --short HEAD)$(git status --porcelain | grep -q . && echo -dirty || true)"
-echo "abbench: $pairs pairs per workload, --seconds $seconds --seed $seed"
+trap 'rm -rf "$tmp"' EXIT
+git clone --quiet --no-checkout "$head_root" "$base_root"
+git -C "$base_root" checkout --quiet --detach "$rev"
+echo "abbench: base $(git -C "$base_root" rev-parse --short HEAD) ($base_name), head $(git rev-parse --short HEAD)$(git status --porcelain | grep -q . && echo -dirty || true)"
 
-# run SIDE ROOT WORKLOAD PAIR appends "pair side metric value" lines for
-# one perfbench run to $tmp/values.
-run() {
-    local side=$1 root=$2 workload=$3 pair=$4 line
-    line=$(cd "$root" && bash perfbench/run.sh --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) || true
-    case "$line" in
-    *'"correct":true'*'"failed":0,'*) ;;
-    *) echo "abbench: $workload pair $pair $side: run not correct or had failures: $line" >&2 ;;
-    esac
-    printf '%s\n' "$line" | grep -o '"[a-z0-9_]*":{"value":[^,}]*' |
-        sed 's/^"\([a-z0-9_]*\)":{"value":/\1 /' |
-        while read -r metric value; do
-            echo "$pair $side $metric $value"
-        done >>"$tmp/values" || true
-}
-
-for w in "${workloads[@]}"; do
-    : >"$tmp/values"
-    for ((i = 1; i <= pairs; i++)); do
-        if ((i % 2)); then
-            run base "$base_root" "$w" "$i"
-            run head "$head_root" "$w" "$i"
-        else
-            run head "$head_root" "$w" "$i"
-            run base "$base_root" "$w" "$i"
-        fi
-    done
-    echo
-    echo "== $w: ratio = head/base per pair"
+# summarize prints the per-metric summary of the "pair side metric
+# value" lines in $tmp/values.
+summarize() {
     awk '
     function sortv(a, n,    i, j, t) {
         for (i = 2; i <= n; i++)
@@ -146,4 +134,76 @@ for w in "${workloads[@]}"; do
             printf "%-15s head:  %s\n", "", hl
         }
     }' "$tmp/values"
+}
+
+# run SIDE ROOT WORKLOAD PAIR appends "pair side metric value" lines for
+# one perfbench run to $tmp/values.
+run() {
+    local side=$1 root=$2 workload=$3 pair=$4 line
+    line=$(cd "$root" && bash perfbench/run.sh --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) || true
+    case "$line" in
+    *'"correct":true'*'"failed":0,'*) ;;
+    *) echo "abbench: $workload pair $pair $side: run not correct or had failures: $line" >&2 ;;
+    esac
+    printf '%s\n' "$line" | grep -o '"[a-z0-9_]*":{"value":[^,}]*' |
+        sed 's/^"\([a-z0-9_]*\)":{"value":/\1 /' |
+        while read -r metric value; do
+            echo "$pair $side $metric $value"
+        done >>"$tmp/values" || true
+}
+
+# runbench SIDE ROOT PAIR appends "pair side metric value" lines for one
+# run of SIDE's test binary to $tmp/values; it fails unless the pattern
+# selected exactly one row.
+runbench() {
+    local side=$1 root=$2 pair=$3 rows
+    rows=$(cd "$root/$pkg" && "$tmp/$side.test" -test.run '^$' -test.bench "$bench" -test.benchmem | grep '^Benchmark') || true
+    if [ "$(printf '%s\n' "$rows" | grep -c .)" -ne 1 ]; then
+        echo "abbench: -b $bench selected $(printf '%s\n' "$rows" | grep -c .) rows on $side, want 1:" >&2
+        printf '%s\n' "$rows" >&2
+        exit 1
+    fi
+    # A row is: name iterations v ns/op v B/op v allocs/op [v unit ...].
+    printf '%s\n' "$rows" | awk -v p="$pair" -v s="$side" '{
+        for (i = 3; i < NF; i += 2)
+            if ($(i + 1) == "ns/op" || $(i + 1) == "B/op" || $(i + 1) == "allocs/op") print p, s, $(i + 1), $i
+    }' >>"$tmp/values"
+}
+
+: >"$tmp/values"
+if [ -n "$bench" ]; then
+    echo "abbench: $pairs pairs of -test.bench '$bench' in $pkg"
+    (cd "$base_root" && go test -c -o "$tmp/base.test" "$pkg")
+    (cd "$head_root" && go test -c -o "$tmp/head.test" "$pkg")
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then
+            runbench base "$base_root" "$i"
+            runbench head "$head_root" "$i"
+        else
+            runbench head "$head_root" "$i"
+            runbench base "$base_root" "$i"
+        fi
+    done
+    echo
+    echo "== $bench: ratio = head/base per pair"
+    summarize
+    exit 0
+fi
+
+echo "abbench: $pairs pairs per workload, --seconds $seconds --seed $seed"
+for w in "${workloads[@]}"; do
+    : >"$tmp/values"
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then
+            run base "$base_root" "$w" "$i"
+            run head "$head_root" "$w" "$i"
+        else
+            run head "$head_root" "$w" "$i"
+            run base "$base_root" "$w" "$i"
+        fi
+    done
+    echo
+    echo "== $w: ratio = head/base per pair"
+    summarize
 done
