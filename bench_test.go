@@ -14,6 +14,9 @@ import (
 	"time"
 
 	"ecldb/internal/bench"
+	"ecldb/internal/hw"
+	"ecldb/internal/obs"
+	"ecldb/internal/obs/energyattr"
 	"ecldb/internal/sim"
 	"ecldb/internal/workload"
 )
@@ -272,46 +275,40 @@ func BenchmarkAppendixProfiles(b *testing.B) {
 // production step path; the Reference variant below runs the same cell
 // on the per-quantum reference walk, so the pair reads the speedup
 // directly off a BENCH_*.json snapshot. Both run in -short mode.
-func BenchmarkTable1RowSingleRun(b *testing.B) { benchTable1Row(b, false) }
+func BenchmarkTable1RowSingleRun(b *testing.B) { benchTable1Row(b, nil) }
 
 // BenchmarkTable1RowSingleRunReference is the reference point: the same
-// sequential Table 1 cell on the per-quantum reference walk (the eclsim
-// -reference path). Only the wall time differs materially — floats agree
-// with the production path within 1e-9 relative.
-func BenchmarkTable1RowSingleRunReference(b *testing.B) { benchTable1Row(b, true) }
-
-// BenchmarkTable1RowSingleRunAttr is the same cell with the energy
-// attribution meter attached to the ECL run. The pair with the plain
-// variant reads the meter's overhead directly off a BENCH_*.json
-// snapshot; the attribution layer promises <2%.
-func BenchmarkTable1RowSingleRunAttr(b *testing.B) {
-	sequentially(b)
-	if _, err := bench.MeasureCapacity(workload.ByName("kv-indexed"), 21); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Table1SingleRowAttr("kv-indexed", "twitter", 30*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Savings*100, "save_%")
-	}
+// sequential Table 1 cell on the per-quantum reference walk
+// (sim.Options.Reference). Only the wall time differs: the outputs are
+// bit-identical to the production path's.
+func BenchmarkTable1RowSingleRunReference(b *testing.B) {
+	benchTable1Row(b, func(o *sim.Options) { o.Reference = true })
 }
 
-func benchTable1Row(b *testing.B, reference bool) {
+// BenchmarkTable1RowSingleRunAttr is the same cell with the energy
+// attribution meter attached to the ECL run — meter only, no event log
+// or registry, so the pair with the plain variant reads the attribution
+// layer's accrual cost directly off a BENCH_*.json snapshot; the layer
+// promises <2%.
+func BenchmarkTable1RowSingleRunAttr(b *testing.B) {
+	benchTable1Row(b, func(o *sim.Options) {
+		if o.Governor == sim.GovernorECL {
+			o.Obs = &obs.Observer{Energy: energyattr.New(hw.HaswellEP().Sockets)}
+		}
+	})
+}
+
+// benchTable1Row times bench.Table1SingleRow on kv-indexed/twitter, each
+// run's options adjusted by opt.
+func benchTable1Row(b *testing.B, opt func(*sim.Options)) {
 	sequentially(b)
-	if reference {
-		sim.SetReference(true)
-		b.Cleanup(func() { sim.SetReference(false) })
-	}
 	// Warm the memoized capacity probe so timing covers only the runs.
 	if _, err := bench.MeasureCapacity(workload.ByName("kv-indexed"), 21); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := bench.Table1SingleRow("kv-indexed", "twitter", 30*time.Second)
+		r, err := bench.Table1SingleRow("kv-indexed", "twitter", 30*time.Second, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

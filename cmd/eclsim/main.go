@@ -183,7 +183,6 @@ func main() {
 	csvPrefix := flag.String("csv", "", "custom run: write per-governor trace CSVs to <prefix>-<governor>.csv")
 	capW := flag.Float64("cap", 0, "custom run: per-socket power cap in W for the ECL (0 = none)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for multi-run sweeps (<1 = GOMAXPROCS); results are identical at any setting")
-	reference := flag.Bool("reference", false, "take the per-quantum reference step path (no sample-boundary loop, kernel cache, fast-forward or closed-form stretches); integer observables are identical, floats agree within 1e-9 relative, just slower (DESIGN.md §16)")
 	runLen := flag.Duration("len", 0, "override the experiment length for -fig 13/14/15 and -table 1 (0 = the figure's default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -197,7 +196,6 @@ func main() {
 	flag.StringVar(&oo.eattrOut, "eattr-out", "", "write the energy-attribution export (spans, ledger, class stats) as JSONL to this file; implies -eattr")
 	flag.Parse()
 	bench.SetParallelism(*parallel)
-	sim.SetReference(*reference)
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	exitOn(err)
 	defer stopProfiles()

@@ -8,7 +8,6 @@ import (
 	"ecldb/internal/hw"
 	"ecldb/internal/loadprofile"
 	"ecldb/internal/obs"
-	"ecldb/internal/obs/energyattr"
 	"ecldb/internal/perfmodel"
 	"ecldb/internal/sim"
 	"ecldb/internal/trace"
@@ -542,21 +541,10 @@ func table1Row(workloadName, profile string, capacity float64, base, eclRes *sim
 // sweep orchestration. It is the unit of work behind the step-path
 // benchmarks in the root bench_test.go. The capacity probe is memoized
 // process-wide (MeasureCapacity); benchmarks warm it before timing so
-// the measurement covers only the two simulation runs.
-func Table1SingleRow(workloadName, profile string, d time.Duration) (Table1Row, error) {
-	return table1SingleRow(workloadName, profile, d, false)
-}
-
-// Table1SingleRowAttr is Table1SingleRow with the energy-attribution
-// meter riding on the ECL run: the benchmark variant behind
-// BenchmarkTable1RowSingleRunAttr, so benchdiff tracks the meter's full
-// accrual cost (machine mirror, per-quantum settle, frozen-baseline
-// interpolation, engine weight distribution) against the plain row.
-func Table1SingleRowAttr(workloadName, profile string, d time.Duration) (Table1Row, error) {
-	return table1SingleRow(workloadName, profile, d, true)
-}
-
-func table1SingleRow(workloadName, profile string, d time.Duration, meter bool) (Table1Row, error) {
+// the measurement covers only the two simulation runs. A non-nil opt
+// adjusts each run's options before it starts — the benchmarks use it to
+// take the reference step path or to attach the attribution meter.
+func Table1SingleRow(workloadName, profile string, d time.Duration, opt func(*sim.Options)) (Table1Row, error) {
 	wl := workload.ByName(workloadName)
 	if wl == nil {
 		return Table1Row{}, fmt.Errorf("bench: unknown workload %q", workloadName)
@@ -569,22 +557,17 @@ func table1SingleRow(workloadName, profile string, d time.Duration, meter bool) 
 	if err != nil {
 		return Table1Row{}, err
 	}
-	base, err := sim.Run(table1Opts(workloadName, load, sim.GovernorBaseline))
-	if err != nil {
-		return Table1Row{}, err
+	var runs [2]*sim.Result
+	for i, gov := range [...]sim.Governor{sim.GovernorBaseline, sim.GovernorECL} {
+		o := table1Opts(workloadName, load, gov)
+		if opt != nil {
+			opt(&o)
+		}
+		if runs[i], err = sim.Run(o); err != nil {
+			return Table1Row{}, err
+		}
 	}
-	eclOpts := table1Opts(workloadName, load, sim.GovernorECL)
-	if meter {
-		// Meter only — no event log, no registry. The benchmark pair
-		// isolates the attribution layer's accrual cost; the decision
-		// event log is a separate (and much larger) opt-in expense.
-		eclOpts.Obs = &obs.Observer{Energy: energyattr.New(hw.HaswellEP().Sockets)}
-	}
-	eclRes, err := sim.Run(eclOpts)
-	if err != nil {
-		return Table1Row{}, err
-	}
-	return table1Row(workloadName, profile, capacity, base, eclRes), nil
+	return table1Row(workloadName, profile, capacity, runs[0], runs[1]), nil
 }
 
 // SavingsFor returns the savings of one workload/profile cell.

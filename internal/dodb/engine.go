@@ -142,12 +142,13 @@ type Engine struct {
 	submitted   int64
 	dropped     int64
 	lastUtil    []float64
-	// busySec/activeSec accumulate per-socket busy and active worker
-	// thread-seconds; their ratio over a window tells the ECL whether a
-	// measurement window ran at full tilt (profile scores must be
-	// full-load capacities).
-	busySec   []float64
-	activeSec []float64
+	// busy/active accumulate per-socket busy and active worker thread
+	// time; their ratio over a window tells the ECL whether a measurement
+	// window ran at full tilt (profile scores must be full-load
+	// capacities). Both are whole nanoseconds, so a fully busy window
+	// reads a ratio of exactly 1.
+	busy   []time.Duration
+	active []time.Duration
 	// commMessages counts inter-socket message transfers.
 	commMessages int64
 	// charEpoch counts workload installs; see CharacteristicsEpoch.
@@ -230,8 +231,8 @@ func New(cfg Config) (*Engine, error) {
 	for s := range e.budgetDebt {
 		e.budgetDebt[s] = make([]float64, cfg.Topo.ThreadsPerSocket())
 	}
-	e.busySec = make([]float64, cfg.Topo.Sockets)
-	e.activeSec = make([]float64, cfg.Topo.Sockets)
+	e.busy = make([]time.Duration, cfg.Topo.Sockets)
+	e.active = make([]time.Duration, cfg.Topo.Sockets)
 	e.asleepNS = make([]time.Duration, cfg.Topo.Sockets)
 	e.stepStats = make([]SocketStats, cfg.Topo.Sockets)
 	e.stepOrigBudget = make([][]float64, cfg.Topo.Sockets)
@@ -342,11 +343,16 @@ func (e *Engine) Quiescent() bool {
 	return true
 }
 
-// BusySeconds returns the cumulative busy and active worker
-// thread-seconds of a socket. Differencing two readings tells how fully
-// utilized the socket's active workers were over a window.
+// BusyTime returns the cumulative busy and active worker thread time of
+// a socket. Differencing two readings tells how fully utilized the
+// socket's active workers were over a window.
+func (e *Engine) BusyTime(socket int) (busy, active time.Duration) {
+	return e.busy[socket], e.active[socket]
+}
+
+// BusySeconds is BusyTime in seconds.
 func (e *Engine) BusySeconds(socket int) (busy, active float64) {
-	return e.busySec[socket], e.activeSec[socket]
+	return e.busy[socket].Seconds(), e.active[socket].Seconds()
 }
 
 // SocketPending returns the undelivered messages queued at one socket's
@@ -840,8 +846,8 @@ func (e *Engine) Step(now, dt time.Duration, active [][]bool, budget [][]float64
 			stats[s].BusyFrac[lt] = frac
 			usedSum += busyInstr
 			budgetSum += origBudget[lt]
-			e.busySec[s] += frac * dt.Seconds()
-			e.activeSec[s] += dt.Seconds()
+			e.busy[s] += time.Duration(frac*float64(dt) + 0.5) // rounded: frac ≥ 0
+			e.active[s] += dt
 		}
 		switch {
 		case budgetSum > 0:
@@ -900,12 +906,10 @@ func (e *Engine) observeWorkers(now time.Duration, activeCount []int) {
 //     so the event stream is byte-identical. This matters in the window
 //     right after a settle commit wakes or parks threads, before any
 //     full Step observes it;
-//   - activeSec gains one ds·n term per active worker with a positive
-//     budget (eligible[s] counts them). For n = 1 that is Step's exact
-//     add; for n > 1 it replaces n sequential ds terms — the float
-//     regrouping the digest re-lock covers (DESIGN.md §16);
-//   - busySec gains only +0.0 terms (zero busy fraction), which are
-//     dropped: busySec is never negative zero, so x + 0.0 == x exactly;
+//   - active gains n·dt per active worker with a positive budget
+//     (eligible[s] counts them), exactly the n dt terms Step would add
+//     (Duration sums are exact integers);
+//   - busy gains nothing (every busy fraction is zero);
 //   - the tracer's per-socket asleep clocks accrue n·dt for sockets with
 //     no active worker in one add (Duration sums are exact integers),
 //     and the step frame moves to the last quantum's;
@@ -932,11 +936,8 @@ func (e *Engine) IdleStretch(first, dt time.Duration, n int, eligible, activeCou
 			}
 		}
 	}
-	ds := dt.Seconds()
 	for s, c := range eligible {
-		for i := 0; i < c; i++ {
-			e.activeSec[s] += ds * float64(n)
-		}
+		e.active[s] += time.Duration(c*n) * dt
 	}
 }
 

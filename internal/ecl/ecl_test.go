@@ -393,7 +393,7 @@ func TestBaselineAppliesAllMaxWithHardwareControl(t *testing.T) {
 type fakeStats struct{ util float64 }
 
 func (f *fakeStats) Utilization(int) float64 { return f.util }
-func (f *fakeStats) BusySeconds(int) (busy, active float64) {
+func (f *fakeStats) BusyTime(int) (busy, active time.Duration) {
 	return 0, 0 // zero deltas: gating treats windows as unusable
 }
 

@@ -76,11 +76,11 @@ type segment struct {
 }
 
 // RuntimeStats is the DBMS-side feedback the socket-level ECL consumes:
-// demand-relative utilization plus cumulative busy/active thread-seconds
+// demand-relative utilization plus cumulative busy/active thread time
 // (for gating profile measurements on full-load windows).
 type RuntimeStats interface {
 	Utilization(socket int) float64
-	BusySeconds(socket int) (busy, active float64)
+	BusyTime(socket int) (busy, active time.Duration)
 }
 
 // SocketECL is the per-processor control loop (Section 5.1).
@@ -112,18 +112,18 @@ type SocketECL struct {
 	segPkgJ   units.Joule
 	segDramJ  units.Joule
 	segInstr  float64
-	segBusy   float64
-	segActive float64
+	segBusy   time.Duration
+	segActive time.Duration
 
 	// Interval-level utilization bookkeeping.
-	tickBusy   float64
-	tickActive float64
+	tickBusy   time.Duration
+	tickActive time.Duration
 
 	// Aggregated online measurement across RTI run slices.
 	aggEntry           *energy.Entry
 	aggE               units.Joule
 	aggI, aggSec       float64
-	aggBusy, aggActive float64
+	aggBusy, aggActive time.Duration
 
 	// Multiplexed adaptation queue and drift tracking.
 	adaptQueue    []*energy.Entry
@@ -295,11 +295,11 @@ func (s *SocketECL) Tick(util float64, ttv time.Duration) {
 	s.flushAggregate(now)
 
 	if s.stats != nil {
-		busy, active := s.stats.BusySeconds(s.socket)
+		busy, active := s.stats.BusyTime(s.socket)
 		dBusy, dActive := busy-s.tickBusy, active-s.tickActive
 		s.tickBusy, s.tickActive = busy, active
 		if dActive > 0 {
-			util = dBusy / dActive
+			util = busyRatio(dBusy, dActive)
 		}
 		// dActive == 0: the socket slept all interval; keep the
 		// instantaneous signal (1.0 when work is pending).
@@ -652,7 +652,7 @@ func (s *SocketECL) beginSegment(now time.Duration) {
 	s.segDramJ = s.machine.ReadEnergy(s.socket, hw.DomainDRAM)
 	s.segInstr = s.machine.SocketInstructions(s.socket)
 	if s.stats != nil {
-		s.segBusy, s.segActive = s.stats.BusySeconds(s.socket)
+		s.segBusy, s.segActive = s.stats.BusyTime(s.socket)
 	}
 }
 
@@ -687,9 +687,9 @@ func (s *SocketECL) finishSegment(now time.Duration) {
 	dE := (s.machine.ReadEnergy(s.socket, hw.DomainPackage) - s.segPkgJ) +
 		(s.machine.ReadEnergy(s.socket, hw.DomainDRAM) - s.segDramJ)
 	dI := s.machine.SocketInstructions(s.socket) - s.segInstr
-	var dBusy, dActive float64
+	var dBusy, dActive time.Duration
 	if s.stats != nil {
-		busy, active := s.stats.BusySeconds(s.socket)
+		busy, active := s.stats.BusyTime(s.socket)
 		dBusy, dActive = busy-s.segBusy, active-s.segActive
 	}
 	if seg.aggregate {
@@ -707,7 +707,7 @@ func (s *SocketECL) finishSegment(now time.Duration) {
 		return
 	}
 	if s.stats != nil && !entry.Config.Idle() {
-		if dActive <= 0 || dBusy/dActive < 0.85 {
+		if dActive <= 0 || busyRatio(dBusy, dActive) < 0.85 {
 			// Partial-load window: unusable as a capacity measurement.
 			if seg.adapt && s.adaptAttempts[entry] < 2 {
 				s.adaptAttempts[entry]++
@@ -731,12 +731,18 @@ func (s *SocketECL) flushAggregate(now time.Duration) {
 	if entry == nil || sec < measureWindow.Seconds() {
 		return
 	}
-	if s.stats != nil && (active <= 0 || busy/active < 0.85) {
+	if s.stats != nil && (active <= 0 || busyRatio(busy, active) < 0.85) {
 		// The run slices were not fully busy: the backlog drained
 		// early, so the instruction rate understates capacity.
 		return
 	}
 	s.record(entry, dE, dI, sec, now)
+}
+
+// busyRatio is the busy share of active worker time over a window. Both
+// are whole nanoseconds, so a fully busy window reads exactly 1.
+func busyRatio(busy, active time.Duration) float64 {
+	return float64(busy) / float64(active)
 }
 
 // record updates the profile with a completed measurement and runs the

@@ -64,7 +64,7 @@ func TestEnergyConservationProperties(t *testing.T) {
 				if tr < prevTrue[s] || rd < prevRead[s] {
 					return false // counters must be monotone
 				}
-				if rd > tr+1e-9 {
+				if rd > tr {
 					return false // a read never exceeds the integral
 				}
 				prevTrue[s], prevRead[s] = tr, rd

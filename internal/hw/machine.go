@@ -33,8 +33,9 @@ const ApplyLatency = 10 * time.Microsecond
 // windows inaccurate (the effect behind Figure 12's 100 ms trade-off).
 const raplUpdatePeriod = time.Millisecond
 
-// raplQuantumJ is the energy resolution of a counter read.
-const raplQuantumJ = 61e-6
+// raplUnitNJ is the energy resolution of a counter read in nanojoules:
+// the Haswell-EP energy-status unit of 61 µJ.
+const raplUnitNJ = 61000
 
 // raplJitterFrac is the maximum refresh-instant jitter as a fraction of
 // the update period.
@@ -46,6 +47,13 @@ const raplJitterFrac = 0.35
 // integrates power into RAPL counters and the PSU meter, maintains
 // instructions-retired counters, and enforces the per-socket sustained
 // power limit (TDP) with a short turbo budget.
+//
+// Every accumulator a quiescent stretch batches is an integer, as RAPL
+// and the instruction counters are on real hardware: energies in whole
+// nanojoules (1 W × 1 ns = 1 nJ; an int64 overflows after 9.2e9 J),
+// instructions in whole instructions, residency as a Duration. Each
+// per-quantum term is rounded once, so StepStretch adds exactly n times
+// what one Step adds, and the two paths agree bit for bit (DESIGN.md §16).
 //
 // Machine is driven by explicit Step calls from the simulation loop and is
 // not safe for concurrent use.
@@ -61,19 +69,20 @@ type Machine struct {
 
 	pkg   []raplCounter
 	dram  []raplCounter
-	instr []float64 // per global hardware thread
+	instr []int64 // instructions retired, per global hardware thread
 
-	psuJ        units.Joule
+	psuNJ       int64
 	lastPkgW    []units.Watt
 	lastDramW   []units.Watt
 	lastPSUW    units.Watt
-	turboBudget []units.Joule
+	turboBudget []int64 // per socket, nanojoules left
+	turboMaxNJ  int64
 	throttle    []float64
 
 	// C-state residency accounting.
-	activeSec    []float64 // per socket: at least one core active
-	idleSec      []float64 // per socket: all cores gated, uncore running
-	deepSleepSec float64   // machine-wide: all uncores halted
+	active    []time.Duration // per socket: at least one core active
+	idle      []time.Duration // per socket: all cores gated, uncore running
+	deepSleep time.Duration   // machine-wide: all uncores halted
 
 	// Change-epoch plumbing (see StateEpoch): epoch counts discrete
 	// state transitions per socket; effCache memoizes the effective
@@ -96,10 +105,9 @@ type Machine struct {
 	tracer *trace.Tracer
 	// eattr mirrors every integration term into the energy-attribution
 	// meter (nil when attribution is disabled; see
-	// internal/obs/energyattr). The mirror adds exactly the terms the
-	// RAPL counters add, in the same order, which is what makes the
-	// meter's integrated totals bit-equal to TrueEnergy on the
-	// per-quantum path.
+	// internal/obs/energyattr). The mirror adds exactly the nanojoules
+	// the RAPL counters add, which is what makes the meter's integrated
+	// totals equal to TrueEnergy.
 	eattr *energyattr.Meter
 }
 
@@ -125,12 +133,13 @@ func NewMachine(topo Topology, pp PowerParams, seed int64) *Machine {
 		seed:        uint64(seed)*0x9e3779b97f4a7c15 + 0x1234567,
 		requested:   make([]Configuration, topo.Sockets),
 		pending:     make([]pendingApply, topo.Sockets),
-		instr:       make([]float64, topo.TotalThreads()),
+		instr:       make([]int64, topo.TotalThreads()),
 		pkg:         make([]raplCounter, topo.Sockets),
 		dram:        make([]raplCounter, topo.Sockets),
 		lastPkgW:    make([]units.Watt, topo.Sockets),
 		lastDramW:   make([]units.Watt, topo.Sockets),
-		turboBudget: make([]units.Joule, topo.Sockets),
+		turboBudget: make([]int64, topo.Sockets),
+		turboMaxNJ:  pp.TurboBudgetJ.Nanojoules(),
 		throttle:    make([]float64, topo.Sockets),
 		epoch:       make([]uint64, topo.Sockets),
 		effCache:    make([]Configuration, topo.Sockets),
@@ -139,12 +148,12 @@ func NewMachine(topo Topology, pp PowerParams, seed int64) *Machine {
 	}
 	m.stretchPkgW = make([]units.Watt, topo.Sockets)
 	m.stretchDramW = make([]units.Watt, topo.Sockets)
-	m.activeSec = make([]float64, topo.Sockets)
-	m.idleSec = make([]float64, topo.Sockets)
+	m.active = make([]time.Duration, topo.Sockets)
+	m.idle = make([]time.Duration, topo.Sockets)
 	for s := 0; s < topo.Sockets; s++ {
 		m.requested[s] = NewConfiguration(topo)
 		m.pending[s].cfg = NewConfiguration(topo)
-		m.turboBudget[s] = pp.TurboBudgetJ
+		m.turboBudget[s] = m.turboMaxNJ
 		m.throttle[s] = 1
 		m.effCache[s] = NewConfiguration(topo)
 	}
@@ -422,10 +431,9 @@ func (m *Machine) Step(dt time.Duration, acts []SocketActivity) {
 
 // StepStretch advances the machine by n quanta of length q under activity
 // that is constant across the stretch (acts is the per-quantum activity,
-// reused every quantum), integrating energy in closed form: one
-// P·(n·q) term per domain per socket instead of n per-quantum terms, the
-// RAPL snapshot advanced by direct boundary-index computation, and the
-// residency/instruction/PSU accumulators batched the same way.
+// reused every quantum), integrating in closed form: every accumulator
+// gains n times the integer term one quantum adds, and the RAPL snapshot
+// is advanced by direct boundary-index computation.
 //
 // The closed form is only valid when the whole stretch is provably
 // constant-state, so StepStretch is all-or-nothing: it returns n after
@@ -450,9 +458,9 @@ func (m *Machine) Step(dt time.Duration, acts []SocketActivity) {
 //
 // Under these guards StateEpoch cannot move during the stretch, the
 // effective configurations and power draw are constant, and firmware
-// observe is a no-op — so the only difference from n Step calls is the
-// float-sum regrouping, which the digest re-lock documents (DESIGN.md
-// §16).
+// observe is a no-op. Every accumulator is an integer that one quantum
+// advances by a rounded term, so n times that term is exactly what n Step
+// calls add: StepStretch equals them bit for bit (DESIGN.md §16).
 //
 //ecllint:hotpath runs once per fast-forwarded stretch
 func (m *Machine) StepStretch(n int, q time.Duration, acts []SocketActivity) int {
@@ -504,35 +512,35 @@ func (m *Machine) StepStretch(n int, q time.Duration, acts []SocketActivity) int
 	}
 
 	// All guards passed: commit the whole stretch.
-	secs := dt.Seconds()
 	if halted {
-		m.deepSleepSec += secs
+		m.deepSleep += dt
 	}
 	var totalW units.Watt
 	for s := 0; s < m.topo.Sockets; s++ {
 		eff := m.effectiveCached(s)
 		if eff.ActiveThreads() > 0 {
-			m.activeSec[s] += secs
+			m.active[s] += dt
 		} else if !halted {
-			m.idleSec[s] += secs
+			m.idle[s] += dt
 		}
 		pkgW, dramW := m.stretchPkgW[s], m.stretchDramW[s]
 		if tdp > 0 {
-			// pkgW <= tdp on every quantum, so limitPower's recharge is
-			// linear in time and sums to one term over the stretch.
-			m.turboBudget[s] = m.pp.TurboBudgetJ.Min(m.turboBudget[s] + (tdp - pkgW).Over(dt).Scale(0.5))
+			// pkgW <= tdp on every quantum, so every recharge term is
+			// non-negative and n clamped adds equal one clamped add of
+			// n terms.
+			m.recharge(s, int64(n)*rechargeNJ(tdp, pkgW, q))
 		}
 		m.lastPkgW[s], m.lastDramW[s] = pkgW, dramW
-		m.pkg[s].integrateStretch(m.now, dt, pkgW, m.boundarySalt(s, DomainPackage))
-		m.dram[s].integrateStretch(m.now, dt, dramW, m.boundarySalt(s, DomainDRAM))
-		m.eattr.Accrue(s, pkgW, dramW, dt)
+		pkgNJ := m.pkg[s].integrateStretch(m.now, q, n, pkgW, m.boundarySalt(s, DomainPackage))
+		dramNJ := m.dram[s].integrateStretch(m.now, q, n, dramW, m.boundarySalt(s, DomainDRAM))
+		m.eattr.Accrue(s, pkgNJ, dramNJ)
 		totalW += pkgW + dramW
 		for lt, instr := range acts[s].Instr {
-			m.instr[m.topo.GlobalThread(s, lt)] += instr * float64(n)
+			m.instr[m.topo.GlobalThread(s, lt)] += int64(n) * retired(instr)
 		}
 	}
 	m.lastPSUW = m.pp.PSUPowerW(totalW)
-	m.psuJ += m.lastPSUW.Over(dt)
+	m.psuNJ += int64(n) * m.lastPSUW.NanojoulesOver(q)
 	m.now = end
 	return n
 }
@@ -546,15 +554,15 @@ func (m *Machine) integrate(seg, fullStep time.Duration, acts []SocketActivity) 
 	frac := float64(seg) / float64(fullStep)
 	halted := m.UncoreHalted()
 	if halted {
-		m.deepSleepSec += seg.Seconds()
+		m.deepSleep += seg
 	}
 	var totalW units.Watt
 	for s := 0; s < m.topo.Sockets; s++ {
 		eff := m.effectiveCached(s)
 		if eff.ActiveThreads() > 0 {
-			m.activeSec[s] += seg.Seconds()
+			m.active[s] += seg
 		} else if !halted {
-			m.idleSec[s] += seg.Seconds()
+			m.idle[s] += seg
 		}
 		bwCap := BandwidthCapGBs(eff.UncoreMHz)
 		pkgW, dramW := m.pp.SocketPowerW(m.topo, s, *eff, acts[s], halted, bwCap)
@@ -564,16 +572,31 @@ func (m *Machine) integrate(seg, fullStep time.Duration, acts []SocketActivity) 
 			m.epoch[s]++
 		}
 		m.lastPkgW[s], m.lastDramW[s] = pkgW, dramW
-		m.pkg[s].integrate(m.now, seg, pkgW, m.boundarySalt(s, DomainPackage))
-		m.dram[s].integrate(m.now, seg, dramW, m.boundarySalt(s, DomainDRAM))
-		m.eattr.Accrue(s, pkgW, dramW, seg)
+		pkgNJ := m.pkg[s].integrate(m.now, seg, pkgW, m.boundarySalt(s, DomainPackage))
+		dramNJ := m.dram[s].integrate(m.now, seg, dramW, m.boundarySalt(s, DomainDRAM))
+		m.eattr.Accrue(s, pkgNJ, dramNJ)
 		totalW += pkgW + dramW
 		for lt, instr := range acts[s].Instr {
-			m.instr[m.topo.GlobalThread(s, lt)] += instr * frac
+			m.instr[m.topo.GlobalThread(s, lt)] += retired(instr * frac)
 		}
 	}
 	m.lastPSUW = m.pp.PSUPowerW(totalW)
-	m.psuJ += m.lastPSUW.Over(seg)
+	m.psuNJ += m.lastPSUW.NanojoulesOver(seg)
+}
+
+// retired rounds a quantum's fractional instruction count (never
+// negative) to the whole instructions the counter adds.
+func retired(instr float64) int64 { return int64(instr + 0.5) }
+
+// rechargeNJ is the turbo budget one segment of length seg at pkgW <= tdp
+// earns back: half the headroom below TDP.
+func rechargeNJ(tdp, pkgW units.Watt, seg time.Duration) int64 {
+	return (tdp - pkgW).Scale(0.5).NanojoulesOver(seg)
+}
+
+// recharge adds earned turbo budget to a socket, clamped at the maximum.
+func (m *Machine) recharge(socket int, nj int64) {
+	m.turboBudget[socket] = min(m.turboMaxNJ, m.turboBudget[socket]+nj)
 }
 
 // limitPower applies the per-socket sustained power limit: power above TDP
@@ -586,11 +609,11 @@ func (m *Machine) limitPower(socket int, pkgW units.Watt, seg time.Duration) uni
 		return pkgW
 	}
 	if pkgW <= tdp {
-		m.turboBudget[socket] = m.pp.TurboBudgetJ.Min(m.turboBudget[socket] + (tdp - pkgW).Over(seg).Scale(0.5))
+		m.recharge(socket, rechargeNJ(tdp, pkgW, seg))
 		m.throttle[socket] = 1
 		return pkgW
 	}
-	m.turboBudget[socket] -= (pkgW - tdp).Over(seg)
+	m.turboBudget[socket] -= (pkgW - tdp).NanojoulesOver(seg)
 	if m.turboBudget[socket] > 0 {
 		m.throttle[socket] = 1
 		return pkgW
@@ -612,18 +635,19 @@ func (m *Machine) limitPower(socket int, pkgW units.Watt, seg time.Duration) uni
 
 // ReadEnergy reads a RAPL energy counter with hardware read semantics:
 // the value refreshes about once per millisecond with a jittered refresh
-// instant, quantized to the counter resolution. Differencing two reads
-// over short windows is therefore noticeably inaccurate, matching the
+// instant, in whole counter units. Differencing two reads over short
+// windows is therefore noticeably inaccurate, matching the
 // meta-calibration findings reproduced in Figure 12.
 func (m *Machine) ReadEnergy(socket int, d Domain) units.Joule {
-	return m.counter(socket, d).snapJ.Quantize(raplQuantumJ)
+	snap := m.counter(socket, d).snapNJ
+	return units.NanojoulesOf(snap - snap%raplUnitNJ)
 }
 
 // TrueEnergy returns the exact integrated energy of a domain. Experiments
 // and traces use it as the "external power meter" ground truth; the ECL
 // itself only uses ReadEnergy.
 func (m *Machine) TrueEnergy(socket int, d Domain) units.Joule {
-	return m.counter(socket, d).trueJ
+	return units.NanojoulesOf(m.counter(socket, d).trueNJ)
 }
 
 func (m *Machine) counter(socket int, d Domain) *raplCounter {
@@ -637,7 +661,7 @@ func (m *Machine) counter(socket int, d Domain) *raplCounter {
 }
 
 // PSUEnergy returns the energy drawn from the wall so far.
-func (m *Machine) PSUEnergy() units.Joule { return m.psuJ }
+func (m *Machine) PSUEnergy() units.Joule { return units.NanojoulesOf(m.psuNJ) }
 
 // LastPower returns the true power of the most recent step: per-socket
 // package and DRAM watts, and the PSU-level total. It allocates two
@@ -667,23 +691,24 @@ func (m *Machine) LastPowerInto(pkgW, dramW []units.Watt) units.Watt {
 // running (the inter-socket dependency), and the machine-wide deepest
 // sleep (all uncores halted).
 func (m *Machine) Residency(socket int) (activeSec, idleSec, deepSleepSec float64) {
-	return m.activeSec[socket], m.idleSec[socket], m.deepSleepSec
+	return m.active[socket].Seconds(), m.idle[socket].Seconds(), m.deepSleep.Seconds()
 }
 
 // ReadInstructions returns the instructions-retired counter of a global
-// hardware thread. These counters are exact on real hardware and here.
+// hardware thread. These counters are exact integers on real hardware and
+// here.
 func (m *Machine) ReadInstructions(globalThread int) float64 {
-	return m.instr[globalThread]
+	return float64(m.instr[globalThread])
 }
 
 // SocketInstructions sums the instructions-retired counters of one socket.
 func (m *Machine) SocketInstructions(socket int) float64 {
-	sum := 0.0
+	var sum int64
 	base := socket * m.topo.ThreadsPerSocket()
 	for i := 0; i < m.topo.ThreadsPerSocket(); i++ {
 		sum += m.instr[base+i]
 	}
-	return sum
+	return float64(sum)
 }
 
 func (m *Machine) boundarySalt(socket int, d Domain) uint64 {
@@ -711,56 +736,59 @@ func clampUncore(mhz int) int {
 	return mhz
 }
 
-// raplCounter accumulates exact energy and exposes refresh-boundary
-// snapshots for reads.
+// raplCounter accumulates energy in whole nanojoules and exposes
+// refresh-boundary snapshots for reads.
 type raplCounter struct {
-	trueJ   units.Joule
-	snapJ   units.Joule
+	trueNJ  int64
+	snapNJ  int64
 	nextIdx int64 // index of the next refresh boundary to take
 }
 
 // integrate adds powerW over a window starting at t0 with length seg,
-// taking refresh snapshots at every jittered boundary inside the window.
-func (r *raplCounter) integrate(t0, seg time.Duration, powerW units.Watt, salt uint64) {
+// taking refresh snapshots at every jittered boundary inside the window,
+// and returns the nanojoules it added.
+func (r *raplCounter) integrate(t0, seg time.Duration, powerW units.Watt, salt uint64) int64 {
 	end := t0 + seg
 	for {
 		b := boundaryTime(r.nextIdx, salt)
 		if b > end {
 			break
 		}
+		r.snapNJ = r.trueNJ
 		if b > t0 {
-			r.snapJ = r.trueJ + powerW.Over(b-t0)
-		} else {
-			r.snapJ = r.trueJ
+			r.snapNJ += powerW.NanojoulesOver(b - t0)
 		}
 		r.nextIdx++
 	}
-	r.trueJ += powerW.Over(seg)
+	e := powerW.NanojoulesOver(seg)
+	r.trueNJ += e
+	return e
 }
 
-// integrateStretch adds powerW over a window of length dt starting at t0
-// in one closed step: trueJ gains a single powerW·dt term (where n
-// per-quantum integrate calls would each add powerW·q — the float
-// regrouping the digest re-lock covers), and the snapshot state jumps
-// straight to the last refresh boundary inside the window, found directly
-// from the refresh period (only the last boundary's snapshot survives a
-// window, so skipping the ones before it is exact). The tests check it
-// bitwise against a walk over the boundaries one at a time.
-func (r *raplCounter) integrateStretch(t0, dt time.Duration, powerW units.Watt, salt uint64) {
-	end := t0 + dt
+// integrateStretch adds powerW over n quanta of length q starting at t0,
+// exactly as n integrate calls would, and returns the nanojoules it
+// added: n times the per-quantum term. Only the last refresh boundary
+// inside the window leaves its snapshot, so the counter jumps straight
+// to it. A boundary b in quantum k, t0+k·q < b <= t0+(k+1)·q, is the
+// value the walk takes there: the counter after k quanta plus the
+// rounded partial term P·(b − t0 − k·q).
+func (r *raplCounter) integrateStretch(t0, q time.Duration, n int, powerW units.Watt, salt uint64) int64 {
+	eq := powerW.NanojoulesOver(q)
 	last := r.nextIdx - 1
-	if k := lastBoundaryAtOrBefore(end, salt); k > last {
+	if k := lastBoundaryAtOrBefore(t0+time.Duration(n)*q, salt); k > last {
 		last = k
 	}
 	if last >= r.nextIdx {
+		r.snapNJ = r.trueNJ
 		if b := boundaryTime(last, salt); b > t0 {
-			r.snapJ = r.trueJ + powerW.Over(b-t0)
-		} else {
-			r.snapJ = r.trueJ
+			k := (b - t0 - 1) / q
+			r.snapNJ += int64(k)*eq + powerW.NanojoulesOver(b-t0-k*q)
 		}
 		r.nextIdx = last + 1
 	}
-	r.trueJ += powerW.Over(dt)
+	e := int64(n) * eq
+	r.trueNJ += e
+	return e
 }
 
 // lastBoundaryAtOrBefore returns the largest boundary index k with

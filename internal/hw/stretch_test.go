@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -74,43 +73,28 @@ func TestLastBoundaryAtOrBeforeMatchesLinearWalk(t *testing.T) {
 	}
 }
 
-// integrateStretchLinear is the reference for raplCounter.integrateStretch:
-// the same closed-form window, with the last refresh boundary found by
-// walking forward from nextIdx one boundary at a time instead of computing
-// its index from the refresh period.
-func integrateStretchLinear(r *raplCounter, t0, dt time.Duration, powerW units.Watt, salt uint64) {
-	end := t0 + dt
-	last := r.nextIdx - 1
-	for boundaryTime(last+1, salt) <= end {
-		last++
-	}
-	if last >= r.nextIdx {
-		if b := boundaryTime(last, salt); b > t0 {
-			r.snapJ = r.trueJ + powerW.Over(b-t0)
-		} else {
-			r.snapJ = r.trueJ
-		}
-		r.nextIdx = last + 1
-	}
-	r.trueJ += powerW.Over(dt)
-}
-
 // TestIntegrateStretchMatchesLinearWalk checks the production stretch
-// integrator against the linear-walk reference bit for bit — trueJ, snapJ
-// and nextIdx — over random salts, counter states, window starts and
-// lengths, including windows ending exactly on a refresh instant and
+// integrator against its definition, the per-quantum walk — n integrate
+// calls, one quantum each — bit for bit (trueNJ, snapNJ and nextIdx), over
+// random salts, counter states, window starts, quantum lengths and
+// counts, including windows ending exactly on a refresh instant and
 // starting nextIdx values both behind and ahead of the window.
 func TestIntegrateStretchMatchesLinearWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 5000; trial++ {
 		salt := rng.Uint64()
 		t0 := time.Duration(rng.Int63n(int64(100 * raplUpdatePeriod)))
-		dt := time.Duration(1 + rng.Int63n(int64(20*raplUpdatePeriod)))
+		q := time.Duration(1 + rng.Int63n(int64(3*raplUpdatePeriod)))
+		n := 1 + rng.Intn(40)
 		if trial%4 == 0 {
 			// End exactly on a refresh instant after t0: "at or before"
-			// must include it.
+			// must include it, and the snapshot lands on a quantum end.
 			k := int64(t0/raplUpdatePeriod) + 1 + rng.Int63n(20)
-			dt = boundaryTime(k, salt) - t0
+			q = boundaryTime(k, salt) - t0
+			n = 1
+			if rng.Intn(2) == 0 && q%2 == 0 {
+				q, n = q/2, 2
+			}
 		}
 		// The counter's next boundary normally lies just past t0, but
 		// the integrator must not rely on it: start it anywhere from
@@ -120,52 +104,67 @@ func TestIntegrateStretchMatchesLinearWalk(t *testing.T) {
 			next = 0
 		}
 		start := raplCounter{
-			trueJ:   units.JoulesOf(rng.Float64() * 1e4),
-			snapJ:   units.JoulesOf(rng.Float64() * 1e4),
+			trueNJ:  rng.Int63n(1e13),
+			snapNJ:  rng.Int63n(1e13),
 			nextIdx: next,
 		}
 		powerW := units.WattsOf(rng.Float64() * 200)
 		got, want := start, start
-		got.integrateStretch(t0, dt, powerW, salt)
-		integrateStretchLinear(&want, t0, dt, powerW, salt)
-		if got != want {
-			t.Fatalf("salt %#x t0 %v dt %v from %+v: integrateStretch %+v, linear walk %+v",
-				salt, t0, dt, start, got, want)
+		added := got.integrateStretch(t0, q, n, powerW, salt)
+		var walked int64
+		for i := 0; i < n; i++ {
+			walked += want.integrate(t0+time.Duration(i)*q, q, powerW, salt)
+		}
+		if got != want || added != walked {
+			t.Fatalf("salt %#x t0 %v q %v n %d from %+v: integrateStretch %+v (+%d), walk %+v (+%d)",
+				salt, t0, q, n, start, got, added, want, walked)
 		}
 	}
 }
 
 // ---- StepStretch guard bails --------------------------------------------
 
-// machineObservables snapshots everything a bailing StepStretch must
-// leave untouched. Sized for the two-socket test machine.
+// machineObservables snapshots every accumulator and observable of the
+// two-socket test machine: what a bailing StepStretch must leave
+// untouched, and what a committed one must leave bit-identical to the
+// per-quantum walk.
 type machineObservables struct {
 	now                 time.Duration
-	pkgJ, dramJ         [2]float64
-	snapPkgJ, snapDramJ [2]float64
+	pkgJ, dramJ         [2]units.Joule
+	readPkg, readDram   [2]units.Joule
 	active, idle, sleep [2]float64
+	instr               [2]float64
 	epoch               [2]uint64
-	psuJ                float64
-	instr0              float64
-	lastPkg0, lastPSU   float64
+	throttle            [2]float64
+	turboNJ             [2]int64
+	psuJ                units.Joule
+	lastPkg, lastDram   [2]units.Watt
+	lastPSU             units.Watt
+	threadInstr         [48]float64
 }
 
 func observeMachine(m *Machine) machineObservables {
 	var o machineObservables
 	o.now = m.Now()
 	for s := 0; s < m.Topology().Sockets; s++ {
-		o.pkgJ[s] = m.TrueEnergy(s, DomainPackage).Joules()
-		o.dramJ[s] = m.TrueEnergy(s, DomainDRAM).Joules()
-		o.snapPkgJ[s] = m.ReadEnergy(s, DomainPackage).Joules()
-		o.snapDramJ[s] = m.ReadEnergy(s, DomainDRAM).Joules()
+		o.pkgJ[s] = m.TrueEnergy(s, DomainPackage)
+		o.dramJ[s] = m.TrueEnergy(s, DomainDRAM)
+		o.readPkg[s] = m.ReadEnergy(s, DomainPackage)
+		o.readDram[s] = m.ReadEnergy(s, DomainDRAM)
 		o.active[s], o.idle[s], o.sleep[s] = m.Residency(s)
+		o.instr[s] = m.SocketInstructions(s)
 		o.epoch[s] = m.StateEpoch(s)
+		o.throttle[s] = m.ThrottleFactor(s)
+		o.turboNJ[s] = m.turboBudget[s]
 	}
-	o.psuJ = m.PSUEnergy().Joules()
-	o.instr0 = m.ReadInstructions(0)
-	pkg, _, psu := m.LastPower()
-	o.lastPkg0 = pkg[0].Watts()
-	o.lastPSU = psu.Watts()
+	o.psuJ = m.PSUEnergy()
+	pkg, dram, psu := m.LastPower()
+	copy(o.lastPkg[:], pkg)
+	copy(o.lastDram[:], dram)
+	o.lastPSU = psu
+	for gt := range o.threadInstr {
+		o.threadInstr[gt] = m.ReadInstructions(gt)
+	}
 	return o
 }
 
@@ -310,10 +309,8 @@ func TestStepStretchBailsOnEETEngagement(t *testing.T) {
 
 // TestStepStretchMatchesPerQuantum runs the same constant-state stretch
 // through StepStretch and through n per-quantum Steps on an identical
-// twin: integer-exact state (epochs, now) must match exactly, every float
-// accumulator must agree within the regrouping epsilon, and the last-step
-// power — computed from identical inputs on both paths — must match
-// bitwise (DESIGN.md §16).
+// twin: every accumulator and observable must be bit-identical
+// (DESIGN.md §16).
 func TestStepStretchMatchesPerQuantum(t *testing.T) {
 	build := func() (*Machine, []SocketActivity) {
 		m := newTestMachine()
@@ -345,49 +342,76 @@ func TestStepStretchMatchesPerQuantum(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ground.Step(q, acts2)
 	}
-
-	if a, b := batched.Now(), ground.Now(); a != b {
-		t.Fatalf("now: batched %v vs ground %v", a, b)
-	}
-	for s := 0; s < batched.Topology().Sockets; s++ {
-		if a, b := batched.StateEpoch(s), ground.StateEpoch(s); a != b {
-			t.Fatalf("socket %d epoch: batched %d vs ground %d", s, a, b)
-		}
-		requireClose(t, "package J", batched.TrueEnergy(s, DomainPackage).Joules(), ground.TrueEnergy(s, DomainPackage).Joules())
-		requireClose(t, "dram J", batched.TrueEnergy(s, DomainDRAM).Joules(), ground.TrueEnergy(s, DomainDRAM).Joules())
-		requireClose(t, "rapl package J", batched.ReadEnergy(s, DomainPackage).Joules(), ground.ReadEnergy(s, DomainPackage).Joules())
-		aA, aI, aS := batched.Residency(s)
-		bA, bI, bS := ground.Residency(s)
-		requireClose(t, "active s", aA, bA)
-		requireClose(t, "idle s", aI, bI)
-		requireClose(t, "sleep s", aS, bS)
-	}
-	requireClose(t, "psu J", batched.PSUEnergy().Joules(), ground.PSUEnergy().Joules())
-	for gt := 0; gt < batched.Topology().TotalThreads(); gt++ {
-		requireClose(t, "instr", batched.ReadInstructions(gt), ground.ReadInstructions(gt))
-	}
-	ap, ad, apsu := batched.LastPower()
-	bp, bd, bpsu := ground.LastPower()
-	for s := range ap {
-		if ap[s] != bp[s] || ad[s] != bd[s] {
-			t.Fatalf("socket %d last power: batched %v/%v vs ground %v/%v", s, ap[s], ad[s], bp[s], bd[s])
-		}
-	}
-	if apsu != bpsu {
-		t.Fatalf("last PSU power: batched %v vs ground %v", apsu, bpsu)
+	if a, b := observeMachine(batched), observeMachine(ground); a != b {
+		t.Fatalf("stretch diverged from the per-quantum walk:\n batched %+v\n ground  %+v", a, b)
 	}
 }
 
-// requireClose asserts two float observables agree within the regrouping
-// epsilon (1e-9 relative; DESIGN.md §16).
-func requireClose(t *testing.T, what string, a, b float64) {
-	t.Helper()
-	if a == b {
-		return
-	}
-	rel := math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
-	if rel > 1e-9 {
-		t.Fatalf("%s: batched %v vs ground %v (rel %.3g)", what, a, b, rel)
+// TestStepStretchMatchesPerQuantumRandomized is the property behind the
+// closed form: for random stretch lengths, quantum lengths, power draws,
+// TDP headroom, turbo-budget clamp states and starting RAPL refresh
+// phases, StepStretch(n) leaves the machine bit-identical to n Step
+// calls on a twin, through every accessor.
+func TestStepStretchMatchesPerQuantumRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		seed := rng.Int63()
+		topo := HaswellEP()
+		cfgs := make([]Configuration, topo.Sockets)
+		acts := idleActs(NewMachine(topo, DefaultPowerParams(), seed))
+		for s := range cfgs {
+			cfgs[s] = NewConfiguration(topo)
+			active := rng.Intn(topo.ThreadsPerSocket() + 1)
+			mhz := MinCoreMHz + rng.Intn(15)*FreqStepMHz
+			for i := 0; i < active; i++ {
+				cfgs[s].Threads[i] = true
+				cfgs[s].CoreMHz[topo.CoreOfLocal(i)] = mhz
+				acts[s].Busy[i] = rng.Float64()
+				acts[s].Spin[i] = 1 - acts[s].Busy[i]
+				acts[s].Instr[i] = rng.Float64() * 1e7
+			}
+			cfgs[s].UncoreMHz = MinUncoreMHz + rng.Intn(19)*FreqStepMHz
+			acts[s].MemGBs = rng.Float64() * 40
+			acts[s].DynScale = 0.8 + rng.Float64()*0.5
+		}
+		n := 2 + rng.Intn(2000)
+		q := time.Duration(100_000 + rng.Int63n(int64(2*time.Millisecond)))
+		warm := time.Duration(1 + rng.Int63n(int64(5*time.Millisecond)))
+		budgetFrac := rng.Float64()
+		headroom := rng.Float64() * 50
+		noTDP := rng.Intn(8) == 0
+		build := func() *Machine {
+			m := NewMachine(topo, DefaultPowerParams(), seed)
+			for s, c := range cfgs {
+				if err := m.Apply(s, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Settle, then leave the RAPL refresh grid at a random
+			// phase against the quantum grid.
+			m.Step(ApplyLatency, idleActs(m))
+			m.Step(warm, acts)
+			pkg, _, _ := m.LastPower()
+			m.pp.TDPWatts = units.WattsOf(headroom) + max(pkg[0], pkg[1])
+			if noTDP {
+				m.pp.TDPWatts = 0
+			}
+			for s := range m.turboBudget {
+				m.turboBudget[s] = int64(budgetFrac * float64(m.turboMaxNJ))
+			}
+			return m
+		}
+		batched, ground := build(), build()
+		if got := batched.StepStretch(n, q, acts); got != n {
+			t.Fatalf("trial %d: StepStretch = %d, want %d (guards unexpectedly failed)", trial, got, n)
+		}
+		for i := 0; i < n; i++ {
+			ground.Step(q, acts)
+		}
+		if a, b := observeMachine(batched), observeMachine(ground); a != b {
+			t.Fatalf("trial %d (n %d, q %v, warm %v, turbo %.3f, headroom %.1f W): stretch diverged from the walk:\n batched %+v\n ground  %+v",
+				trial, n, q, warm, budgetFrac, headroom, a, b)
+		}
 	}
 }
 

@@ -8,26 +8,24 @@
 // never reaches back into any of them: it sees only the units
 // vocabulary.
 //
-// Conservation contract (DESIGN.md §17). The meter mirrors the machine's
-// RAPL accumulation term for term: Accrue is called once per
-// counter-integration site with exactly the `P.Over(seg)` joule terms the
-// machine adds to its true counters, in the same call order per socket
-// and domain — including the single `P.Over(n·q)` term of a closed-form
-// stretch — so the meter's integrated total is bit-identical to
-// hw.Machine.TrueEnergy on every step path: the mirror follows whatever
-// float grouping the machine used. Query and control shares are carved
-// out of that total by Settle; the residual is *derived* — integrated
-// minus attributed — so
+// Conservation contract (DESIGN.md §17). Every accumulator is an integer
+// count of nanojoules, as the machine's RAPL counters are. Accrue is
+// called once per counter-integration site with exactly the nanojoules
+// the machine adds to its true counters, so the meter's integrated total
+// equals hw.Machine.TrueEnergy on every step path. Query and control
+// shares are carved out of that total by Settle, each rounded down to a
+// whole nanojoule per quantum, so they never claim more than the quantum
+// integrated; the residual is *derived* — integrated minus attributed —
+// so
 //
 //	attributed(queries) + attributed(control) + residual == integrated
 //
-// holds to the last bit per socket per domain, by construction, with no
-// float regrouping to argue about. TestStepPathsByteIdentical asserts
-// both halves across the full step-path matrix.
+// holds exactly per socket per domain, in integer arithmetic.
+// TestStepPathsByteIdentical asserts both halves on both step paths.
 //
 // Attribution model. Each settle span (one machine step: a quantum, or a
-// closed-form stretch of n quanta) splits the span's pending joules by
-// virtual-time-weighted shares:
+// closed-form stretch of n quanta) splits each quantum's pending joules
+// by virtual-time-weighted shares:
 //
 //   - Queries claim weight/active of the span, where weight is the sum of
 //     per-message work shares (instructions executed over the thread's
@@ -155,16 +153,17 @@ const (
 	histBuckets   = histDecades*histPerDecade + 2 // + under/overflow
 )
 
-// socketState is the per-socket accounting.
+// socketState is the per-socket accounting. Every energy is a count of
+// nanojoules.
 type socketState struct {
-	// integ mirrors the machine's true RAPL counters term for term.
-	integ [NumDomains]units.Joule
+	// integ mirrors the machine's true RAPL counters.
+	integ [NumDomains]int64
 	// pending is the portion of integ accrued since the last Settle.
-	pending [NumDomains]units.Joule
+	pending [NumDomains]int64
 	// queries and ctl are the attributed carve-outs; the residual is
 	// derived (integ − queries − Σctl) so the partition is exact.
-	queries [NumDomains]units.Joule
-	ctl     [numKinds][NumDomains]units.Joule
+	queries [NumDomains]int64
+	ctl     [numKinds][NumDomains]int64
 
 	// Registered control windows per kind, consumed in timeline order.
 	win  [numKinds][]window
@@ -175,19 +174,19 @@ type socketState struct {
 	spinW           [NumDomains]units.Watt
 	fullW           [NumDomains]units.Watt
 	fullInstrPerSec float64
-	baseJ           units.Joule
+	baseNJ          int64
 	// run0 marks the energy integrated before the attributed run window
 	// opened (prewarm sweeps, governor start-up): the baseline
 	// counterfactual only accrues inside the window, so the saved-energy
 	// comparison must subtract what came before it.
-	run0 units.Joule
+	run0 int64
 
 	// Open audit-ledger record for the currently reigning configuration.
 	open      bool
 	openKey   string
 	openStart time.Duration
-	open0     units.Joule
-	openBase0 units.Joule
+	open0     int64
+	openBase0 int64
 }
 
 // Meter is the attribution accumulator. The zero value is not usable;
@@ -218,23 +217,20 @@ func (m *Meter) Sockets() int {
 }
 
 // Accrue mirrors one machine integration term: the package and DRAM
-// energy of one integration segment on one socket. The machine calls it
-// with exactly the power values and span its own counters integrate, in
-// the same order, which is what makes Integrated bit-equal to
-// hw.Machine.TrueEnergy on the per-quantum path.
+// nanojoules one integration segment (or closed-form stretch) added to a
+// socket's RAPL counters, which is what makes Integrated equal to
+// hw.Machine.TrueEnergy.
 //
 //ecllint:hotpath
-func (m *Meter) Accrue(socket int, pkgW, dramW units.Watt, seg time.Duration) {
+func (m *Meter) Accrue(socket int, pkgNJ, dramNJ int64) {
 	if m == nil {
 		return
 	}
 	s := &m.socks[socket]
-	pj := pkgW.Over(seg)
-	dj := dramW.Over(seg)
-	s.integ[DomainPackage] += pj
-	s.integ[DomainDRAM] += dj
-	s.pending[DomainPackage] += pj
-	s.pending[DomainDRAM] += dj
+	s.integ[DomainPackage] += pkgNJ
+	s.integ[DomainDRAM] += dramNJ
+	s.pending[DomainPackage] += pkgNJ
+	s.pending[DomainDRAM] += dramNJ
 }
 
 // AddWindow registers a control window on a socket's timeline. Windows
@@ -308,26 +304,34 @@ func (s *socketState) takeOverlap(k Kind, start, end time.Duration) time.Duratio
 }
 
 // Settle splits the joules accrued since the last settle on one socket
-// across queries, control, and (implicitly) residual, for the span
-// [start, end) just integrated. active is the number of configured-active
-// threads, weight the summed per-message query work shares (≤ active),
-// and loop the controller's busy-poll overhead in thread units (0 when no
-// controller runs). It returns the joules per unit of query weight, which
-// the engine uses to distribute the query share to individual queries.
+// across queries, control, and (implicitly) residual, for the n quanta of
+// length q starting at start that were just integrated. A stretch of n
+// quanta accrued n equal terms, so each quantum settles pending/n. active
+// is the number of configured-active threads, weight the summed
+// per-message query work shares (≤ active), and loop the controller's
+// busy-poll overhead in thread units (0 when no controller runs). It
+// returns the joules per unit of query weight, which the engine uses to
+// distribute the query share to individual queries.
+//
+// Each carve-out is one quantum's share rounded down to a whole
+// nanojoule, times n, so settling a stretch at once equals settling its
+// quanta one by one. When a control window begins or ends inside the
+// stretch its quanta claim different fractions, and they settle one by
+// one.
 //
 //ecllint:hotpath
-func (m *Meter) Settle(socket int, start, end time.Duration, active int, weight, loop float64) units.Joule {
+func (m *Meter) Settle(socket int, start, q time.Duration, n, active int, weight, loop float64) units.Joule {
 	if m == nil {
 		return 0
 	}
 	s := &m.socks[socket]
-	pj := s.pending[DomainPackage]
-	dj := s.pending[DomainDRAM]
-	s.pending[DomainPackage] = 0
-	s.pending[DomainDRAM] = 0
-	span := end - start
-	if span <= 0 {
+	pq := s.pending
+	s.pending = [NumDomains]int64{}
+	if q <= 0 || n <= 0 {
 		return 0
+	}
+	for d := range pq {
+		pq[d] /= int64(n)
 	}
 	var shareQ, shareLoop float64
 	if active > 0 {
@@ -342,38 +346,71 @@ func (m *Meter) Settle(socket int, start, end time.Duration, active int, weight,
 		}
 	}
 	rem := 1 - shareQ - shareLoop
-	// Control windows claim time-overlap fractions of the remainder, in
-	// priority order; the fractions are made disjoint by clamping against
-	// what earlier kinds already claimed.
-	var ctlFrac [numKinds]float64
-	left := 1.0
-	for _, k := range [...]Kind{KindSettle, KindDiscovery, KindRTISleep} {
-		f := float64(s.takeOverlap(k, start, end)) / float64(span)
-		if f > left {
-			f = left
-		}
-		ctlFrac[k] = f
-		left -= f
-	}
-	if shareQ > 0 {
-		s.queries[DomainPackage] += pj.Scale(shareQ)
-		s.queries[DomainDRAM] += dj.Scale(shareQ)
-	}
-	if shareLoop > 0 {
-		s.ctl[KindLoop][DomainPackage] += pj.Scale(shareLoop)
-		s.ctl[KindLoop][DomainDRAM] += dj.Scale(shareLoop)
-	}
-	for k := KindSettle; k < numKinds; k++ {
-		if f := ctlFrac[k] * rem; f > 0 {
-			s.ctl[k][DomainPackage] += pj.Scale(f)
-			s.ctl[k][DomainDRAM] += dj.Scale(f)
+	end := start + time.Duration(n)*q
+	if n == 1 || s.windowsUniform(start, end) {
+		s.carve(pq, shareQ, shareLoop, rem, s.ctlFracs(start, end), int64(n))
+	} else {
+		for i := 0; i < n; i++ {
+			a := start + time.Duration(i)*q
+			s.carve(pq, shareQ, shareLoop, rem, s.ctlFracs(a, a+q), 1)
 		}
 	}
 	if weight <= 0 || shareQ <= 0 {
 		return 0
 	}
-	return (pj + dj).Scale(shareQ / weight)
+	return units.NanojoulesOf(pq[DomainPackage] + pq[DomainDRAM]).Scale(shareQ / weight)
 }
+
+// windowsUniform reports whether no control window begins or ends
+// strictly inside [start, end): every window then covers all of the span
+// or none of it, so every quantum of the span claims the same fractions.
+func (s *socketState) windowsUniform(start, end time.Duration) bool {
+	for k := range s.win {
+		for _, w := range s.win[k][s.head[k]:] {
+			if w.start >= end {
+				break
+			}
+			if w.start > start || w.end > start && w.end < end {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ctlFracs consumes the control windows overlapping [start, end) and
+// returns each kind's time-overlap fraction of the span, in priority
+// order (settle > discovery > RTI sleep); the fractions are made disjoint
+// by clamping against what earlier kinds already claimed.
+func (s *socketState) ctlFracs(start, end time.Duration) [numKinds]float64 {
+	var f [numKinds]float64
+	left := 1.0
+	for _, k := range [...]Kind{KindSettle, KindDiscovery, KindRTISleep} {
+		fk := float64(s.takeOverlap(k, start, end)) / float64(end-start)
+		if fk > left {
+			fk = left
+		}
+		f[k] = fk
+		left -= fk
+	}
+	return f
+}
+
+// carve adds n quanta's carve-outs: queries claim shareQ of each
+// quantum's pending nanojoules, the busy-poll loop shareLoop, and each
+// control window its fraction of the remainder, each rounded down.
+func (s *socketState) carve(pq [NumDomains]int64, shareQ, shareLoop, rem float64, ctlFrac [numKinds]float64, n int64) {
+	for d, e := range pq {
+		s.queries[d] += n * share(e, shareQ)
+		s.ctl[KindLoop][d] += n * share(e, shareLoop)
+		for k := KindSettle; k < numKinds; k++ {
+			s.ctl[k][d] += n * share(e, ctlFrac[k]*rem)
+		}
+	}
+}
+
+// share is the fraction f of nj nanojoules, rounded down.
+func share(nj int64, f float64) int64 { return int64(float64(nj) * f) }
 
 // FlushPending opens the attributed run window: unsettled accruals from
 // before it (prewarm, capacity probing) are discarded into the residual —
@@ -387,8 +424,7 @@ func (m *Meter) FlushPending() {
 	}
 	for i := range m.socks {
 		s := &m.socks[i]
-		s.pending[DomainPackage] = 0
-		s.pending[DomainDRAM] = 0
+		s.pending = [NumDomains]int64{}
 		s.run0 = s.integ[DomainPackage] + s.integ[DomainDRAM]
 	}
 }
@@ -423,22 +459,22 @@ func (m *Meter) HasBaseline() bool {
 	return false
 }
 
-// AccrueBaseline advances a socket's counterfactual accumulator over one
-// span: the always-max machine would have spent the interpolated power
-// for the work actually done (usedInstr instructions), spinning away the
-// rest of the span.
+// AccrueBaseline advances a socket's counterfactual accumulator over n
+// quanta of length q: in each, the always-max machine would have spent
+// the interpolated power for the work actually done (usedInstr
+// instructions per quantum), spinning away the rest of the quantum.
 //
 //ecllint:hotpath
-func (m *Meter) AccrueBaseline(socket int, usedInstr float64, span time.Duration) {
+func (m *Meter) AccrueBaseline(socket int, usedInstr float64, q time.Duration, n int) {
 	if m == nil {
 		return
 	}
 	s := &m.socks[socket]
-	if !s.hasBase || span <= 0 {
+	if !s.hasBase || q <= 0 {
 		return
 	}
 	util := 0.0
-	if full := s.fullInstrPerSec * span.Seconds(); full > 0 && usedInstr > 0 {
+	if full := s.fullInstrPerSec * q.Seconds(); full > 0 && usedInstr > 0 {
 		util = usedInstr / full
 		if util > 1 {
 			util = 1
@@ -446,7 +482,7 @@ func (m *Meter) AccrueBaseline(socket int, usedInstr float64, span time.Duration
 	}
 	pw := s.spinW[DomainPackage] + (s.fullW[DomainPackage] - s.spinW[DomainPackage]).Scale(util)
 	dw := s.spinW[DomainDRAM] + (s.fullW[DomainDRAM] - s.spinW[DomainDRAM]).Scale(util)
-	s.baseJ += pw.Over(span) + dw.Over(span)
+	s.baseNJ += int64(n) * (pw.NanojoulesOver(q) + dw.NanojoulesOver(q))
 }
 
 // NoteReconfig closes the reigning configuration's ledger record on a
@@ -462,7 +498,7 @@ func (m *Meter) NoteReconfig(socket int, key string, at time.Duration) {
 	s.openKey = key
 	s.openStart = at
 	s.open0 = s.integ[DomainPackage] + s.integ[DomainDRAM]
-	s.openBase0 = s.baseJ
+	s.openBase0 = s.baseNJ
 }
 
 // closeOpen appends the closed record for a socket's open reign, if any.
@@ -475,8 +511,8 @@ func (m *Meter) closeOpen(s *socketState, socket int, at time.Duration) {
 		Key:       s.openKey,
 		Start:     s.openStart,
 		End:       at,
-		MeasuredJ: s.integ[DomainPackage] + s.integ[DomainDRAM] - s.open0,
-		BaselineJ: s.baseJ - s.openBase0,
+		MeasuredJ: units.NanojoulesOf(s.integ[DomainPackage] + s.integ[DomainDRAM] - s.open0),
+		BaselineJ: units.NanojoulesOf(s.baseNJ - s.openBase0),
 	})
 	s.open = false
 }
@@ -672,7 +708,7 @@ func (m *Meter) Integrated(socket, domain int) units.Joule {
 	if m == nil {
 		return 0
 	}
-	return m.socks[socket].integ[domain]
+	return units.NanojoulesOf(m.socks[socket].integ[domain])
 }
 
 // QueriesJ returns the query-attributed energy of a socket/domain.
@@ -680,7 +716,7 @@ func (m *Meter) QueriesJ(socket, domain int) units.Joule {
 	if m == nil {
 		return 0
 	}
-	return m.socks[socket].queries[domain]
+	return units.NanojoulesOf(m.socks[socket].queries[domain])
 }
 
 // ControlJ returns the control-attributed energy of a socket/domain,
@@ -689,8 +725,12 @@ func (m *Meter) ControlJ(socket, domain int) units.Joule {
 	if m == nil {
 		return 0
 	}
-	s := &m.socks[socket]
-	var t units.Joule
+	return units.NanojoulesOf(m.socks[socket].ctlNJ(domain))
+}
+
+// ctlNJ sums a domain's control carve-outs over all kinds.
+func (s *socketState) ctlNJ(domain int) int64 {
+	var t int64
 	for k := Kind(0); k < numKinds; k++ {
 		t += s.ctl[k][domain]
 	}
@@ -702,20 +742,19 @@ func (m *Meter) ControlKindJ(socket, domain int, k Kind) units.Joule {
 	if m == nil {
 		return 0
 	}
-	return m.socks[socket].ctl[k][domain]
+	return units.NanojoulesOf(m.socks[socket].ctl[k][domain])
 }
 
 // ResidualJ is the derived residual of a socket/domain: integrated minus
-// attributed. The conservation invariant is this identity, stated
-// subtractively — integ − queries − control − residual is zero to the
-// last bit, because the residual is computed by exactly that expression
-// (the additive restatement queries+control+residual can differ from
-// integ in the final ulp, as float subtraction does not re-add exactly).
+// attributed, computed in whole nanojoules, so queries + control +
+// residual equals integrated exactly. Carve-outs round down, so it is
+// never negative.
 func (m *Meter) ResidualJ(socket, domain int) units.Joule {
 	if m == nil {
 		return 0
 	}
-	return m.Integrated(socket, domain) - m.QueriesJ(socket, domain) - m.ControlJ(socket, domain)
+	s := &m.socks[socket]
+	return units.NanojoulesOf(s.integ[domain] - s.queries[domain] - s.ctlNJ(domain))
 }
 
 // IntegratedTotalJ sums Integrated over sockets and domains.
@@ -748,11 +787,11 @@ func (m *Meter) BaselineTotalJ() units.Joule {
 	if m == nil {
 		return 0
 	}
-	var t units.Joule
+	var t int64
 	for i := range m.socks {
-		t += m.socks[i].baseJ
+		t += m.socks[i].baseNJ
 	}
-	return t
+	return units.NanojoulesOf(t)
 }
 
 // MeasuredRunJ sums the energy integrated inside the attributed run
@@ -761,12 +800,12 @@ func (m *Meter) MeasuredRunJ() units.Joule {
 	if m == nil {
 		return 0
 	}
-	var t units.Joule
+	var t int64
 	for i := range m.socks {
 		s := &m.socks[i]
 		t += s.integ[DomainPackage] + s.integ[DomainDRAM] - s.run0
 	}
-	return t
+	return units.NanojoulesOf(t)
 }
 
 // SavedJ is the continuously observable "energy saved": the frozen

@@ -229,13 +229,13 @@ func (m *Meter) Report() string {
 
 // kindTotal sums one control kind over sockets and domains.
 func (m *Meter) kindTotal(k Kind) units.Joule {
-	var t units.Joule
+	var t int64
 	for s := range m.socks {
 		for d := 0; d < NumDomains; d++ {
 			t += m.socks[s].ctl[k][d]
 		}
 	}
-	return t
+	return units.NanojoulesOf(t)
 }
 
 func pct(part, whole uint64) float64 {

@@ -41,8 +41,8 @@ func runDigest(t *testing.T, seed int64) [sha256.Size]byte {
 
 // digestRun builds and runs a simulation from opts and hashes every
 // exported observable (see runDigest). It returns the Sim and Result too
-// so callers can inspect internals (e.g. fast-forward counters) and compare
-// observables across float groupings after the run.
+// so callers can inspect internals (e.g. fast-forward counters) after the
+// run.
 func digestRun(t *testing.T, opts Options) ([sha256.Size]byte, *Sim, *Result) {
 	t.Helper()
 	s, err := New(opts)

@@ -38,9 +38,7 @@ func resultFingerprint(t *testing.T, res *Result) string {
 // counters must be bit-identical. Instrumentation is read-only — it must
 // never draw randomness, change timing, or otherwise perturb the
 // simulation. The idle-heavy stepped profile covers the quiescent fast
-// paths too: an attached observer must not keep them from engaging (their
-// closed-form integration would otherwise regroup float sums differently
-// from an unobserved run).
+// paths too: an attached observer must not keep them from engaging.
 func TestObserverIsBehaviorNeutral(t *testing.T) {
 	idle := func(ob *obs.Observer) Options {
 		opts := stepEquivOptions(false)

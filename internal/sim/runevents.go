@@ -23,10 +23,10 @@ import (
 //     scans. Where the machine proves a stretch constant-state it
 //     integrates it in closed form (hw.Machine.StepStretch).
 //
-// Closed-form stretches regroup float sums, so through quiescent windows
-// results agree with the reference walk within 1e-9 relative (every
-// integer observable bit-identical); on a profile that never quiesces
-// the two are bit-identical (TestStepPathsByteIdentical proves both).
+// Every accumulator a stretch advances is an integer that one quantum
+// moves by a rounded term, so a closed-form stretch adds exactly what its
+// quanta would: the production loop and the reference walk are
+// bit-identical on every profile (TestStepPathsByteIdentical).
 
 // gridCeil rounds an instant up to the quantum grid: the profile time of
 // the first run-loop iteration at or after x. Duration division is exact
@@ -264,16 +264,16 @@ func (s *Sim) stretchStep(k int) int {
 		// StepStretch call when its guards prove the whole span is
 		// constant-state (no settle, below TDP, EET stable, UFS at its
 		// decay fixed point). A guard bail grinds exactly one per-quantum
-		// iteration — with the reference grouping and the per-quantum
-		// epoch check — and retries, so drift resolves at quantum
-		// granularity and batching re-engages the moment state stabilizes.
+		// iteration — with the per-quantum epoch check — and retries, so
+		// drift resolves at quantum granularity and batching re-engages
+		// the moment state stabilizes.
 		now := s.clock.Now()
 		if n := s.machine.StepStretch(k-done, q, s.stretchActs); n > 0 {
 			span := time.Duration(n) * q
 			s.engine.IdleStretch(now+q, q, n, s.stretchEligible, s.stretchActive)
-			s.accrueIdleBaseline(span)
+			s.accrueIdleBaseline(q, n)
 			s.clock.Advance(span)
-			s.settleStretchAttr(span)
+			s.settleStretchAttr(q, n)
 			done += n
 			s.batchQuanta += int64(n)
 			// StepStretch's guards prove no machine epoch moved, and
@@ -283,9 +283,9 @@ func (s *Sim) stretchStep(k int) int {
 		}
 		s.engine.IdleStretch(now+q, q, 1, s.stretchEligible, s.stretchActive)
 		s.machine.Step(q, s.stretchActs)
-		s.accrueIdleBaseline(q)
+		s.accrueIdleBaseline(q, 1)
 		s.clock.Advance(q)
-		s.settleStretchAttr(q)
+		s.settleStretchAttr(q, 1)
 		done++
 		if !s.kernelsFresh() {
 			break

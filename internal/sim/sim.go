@@ -91,9 +91,8 @@ type Options struct {
 	// Reference runs the plain per-quantum walk the production loop is
 	// proved against (TestStepPathsByteIdentical): no sample-boundary
 	// loop, kernel cache, quiescent fast-forward or closed-form
-	// integration.
-	// Integer observables are identical; floats agree within 1e-9
-	// relative, bit for bit while no fast-forward engages (DESIGN.md §16).
+	// integration. Every output is bit-identical to the production
+	// path's; only the wall time differs (DESIGN.md §16).
 	Reference bool
 	// Hook, when non-nil, observes the run from outside the determinism
 	// fence (see StepHook). The hook is invoked with the virtual clock's
@@ -121,17 +120,6 @@ type StepHook interface {
 	// stopped.
 	OnDone(now time.Duration)
 }
-
-// referenceDefault forces Options.Reference on every new Sim; set once
-// at process start by the eclsim -reference flag so even multi-run sweeps,
-// whose regenerators build their own Options, take the reference path.
-var referenceDefault bool
-
-// SetReference switches the process-wide default step path to the
-// per-quantum reference walk (Options.Reference). Call it before building
-// any Sim; it exists for the CLI's -reference flag and must not be toggled
-// while runs are in progress.
-func SetReference(on bool) { referenceDefault = on }
 
 // Result is the outcome of a run.
 type Result struct {
@@ -272,9 +260,6 @@ func New(opts Options) (*Sim, error) {
 	}
 	if opts.Quantum <= 0 {
 		opts.Quantum = time.Millisecond
-	}
-	if referenceDefault {
-		opts.Reference = true
 	}
 	pp := hw.DefaultPowerParams()
 	if opts.Power != nil {
@@ -860,7 +845,7 @@ func (s *Sim) accrueStepAttr(q time.Duration, stats []dodb.SocketStats) {
 		for _, u := range stats[sock].UsedInstr {
 			used += u
 		}
-		s.eattr.AccrueBaseline(sock, used, q)
+		s.eattr.AccrueBaseline(sock, used, q, 1)
 	}
 }
 
@@ -883,41 +868,41 @@ func (s *Sim) settleStepAttr(q time.Duration) {
 		if s.controller != nil && active > 0 {
 			loop = s.controller.Overhead()
 		}
-		s.attrPerW[sock] = s.eattr.Settle(sock, end-q, end, active, w[sock], loop)
+		s.attrPerW[sock] = s.eattr.Settle(sock, end-q, q, 1, active, w[sock], loop)
 	}
 	s.engine.DistributeEnergy(s.attrPerW)
 }
 
 // accrueIdleBaseline advances every socket's always-max counterfactual
-// over a workless span (nothing retired). Like accrueStepAttr it runs
+// over n workless quanta (nothing retired). Like accrueStepAttr it runs
 // before the clock advance, so the span's baseline lands in its own
 // ledger reign.
-func (s *Sim) accrueIdleBaseline(span time.Duration) {
+func (s *Sim) accrueIdleBaseline(q time.Duration, n int) {
 	if !s.eattr.Enabled() {
 		return
 	}
 	for sock := 0; sock < s.topo.Sockets; sock++ {
-		s.eattr.AccrueBaseline(sock, 0, span)
+		s.eattr.AccrueBaseline(sock, 0, q, n)
 	}
 }
 
-// settleStretchAttr closes the attribution span of a quiescent stretch
-// (engine empty, workers spinning or parked): query weight is provably
-// zero, so the span splits between the controller's loop overhead on
-// sockets with active threads, any control windows (an RTI sleep slice,
-// a settling transition), and the residual.
-func (s *Sim) settleStretchAttr(span time.Duration) {
+// settleStretchAttr closes the attribution span of n quanta of a
+// quiescent stretch (engine empty, workers spinning or parked): query
+// weight is provably zero, so the span splits between the controller's
+// loop overhead on sockets with active threads, any control windows (an
+// RTI sleep slice, a settling transition), and the residual.
+func (s *Sim) settleStretchAttr(q time.Duration, n int) {
 	if !s.eattr.Enabled() {
 		return
 	}
-	end := s.clock.Now()
+	start := s.clock.Now() - time.Duration(n)*q
 	for sock := 0; sock < s.topo.Sockets; sock++ {
 		active := s.stretchActive[sock]
 		loop := 0.0
 		if s.controller != nil && active > 0 {
 			loop = s.controller.Overhead()
 		}
-		s.eattr.Settle(sock, end-span, end, active, 0, loop)
+		s.eattr.Settle(sock, start, q, n, active, 0, loop)
 	}
 }
 

@@ -1,11 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"io"
-	"math"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -14,7 +9,6 @@ import (
 	"ecldb/internal/obs"
 	"ecldb/internal/obs/energyattr"
 	"ecldb/internal/obs/trace"
-	"ecldb/internal/relock"
 	"ecldb/internal/workload"
 )
 
@@ -53,120 +47,62 @@ func stepEquivOptions(reference bool) Options {
 // TestStepPathsByteIdentical proves the production step path (the
 // sample-boundary loop, the epoch-keyed kernel cache, quiescent
 // fast-forward, and closed-form stretch integration) against the
-// per-quantum reference walk (Options.Reference) in two parts.
+// per-quantum reference walk (Options.Reference): the two must digest
+// bit for bit over the full observable surface (digestRun).
 // scripts/check.sh runs it under the race detector.
 //
 //	busy: on a profile that never quiesces no fast-forward can engage,
-//	      so the two paths must digest bit for bit over the full
-//	      observable surface (digestRun): the run loop and the kernel
-//	      cache are exact.
+//	      so this part proves the run loop and the kernel cache.
 //	idle: on the idle-heavy stepped profile every fast path engages in
-//	      production and none in the reference. Closed-form stretches
-//	      regroup float sums (P·(n·q) instead of n per-quantum terms), so
-//	      every export the digest hashes is compared with internal/relock
-//	      instead: integer observables byte-identical, floats within its
-//	      default 1e-9 relative. scripts/relock.sh extends the check to
-//	      regenerated artifacts.
+//	      production and none in the reference. Every accumulator a
+//	      closed-form stretch advances is an integer, so the stretch adds
+//	      exactly what its quanta would (DESIGN.md §16).
 //
 // Both runs of both parts must also conserve energy exactly.
 func TestStepPathsByteIdentical(t *testing.T) {
-	t.Run("busy", func(t *testing.T) {
-		prodOpts, refOpts := shortECLOpts(7, allSinks()), shortECLOpts(7, allSinks())
-		refOpts.Reference = true
-		prod, ps, _ := digestRun(t, prodOpts)
-		ref, rs, _ := digestRun(t, refOpts)
-		for _, r := range []struct {
-			name string
-			s    *Sim
-		}{{"production", ps}, {"reference", rs}} {
-			if r.s.idleWindows != 0 || r.s.awakeWindows != 0 || r.s.batchQuanta != 0 {
-				t.Errorf("%s: fast-forward engaged on a busy profile (idle %d, awake %d, batched quanta %d)",
-					r.name, r.s.idleWindows, r.s.awakeWindows, r.s.batchQuanta)
-			}
-		}
-		if prod != ref {
-			t.Errorf("production digest diverged from the reference:\n  %x\n  %x", prod, ref)
-		}
-		assertEnergyConservation(t, "production", ps, prodOpts.Obs.Energy)
-		assertEnergyConservation(t, "reference", rs, refOpts.Obs.Energy)
-	})
-
-	t.Run("idle", func(t *testing.T) {
-		prodOpts, refOpts := stepEquivOptions(false), stepEquivOptions(true)
-		_, ps, prod := digestRun(t, prodOpts)
-		_, rs, ref := digestRun(t, refOpts)
-		if ps.idleWindows == 0 || ps.awakeWindows == 0 || ps.batchQuanta == 0 {
-			t.Errorf("production left a fast path unexercised (idle %d, awake %d, batched quanta %d); the comparison is vacuous",
-				ps.idleWindows, ps.awakeWindows, ps.batchQuanta)
-		}
-		if rs.idleWindows != 0 || rs.awakeWindows != 0 || rs.batchQuanta != 0 {
-			t.Errorf("reference engaged a fast path (idle %d, awake %d, batched quanta %d)",
-				rs.idleWindows, rs.awakeWindows, rs.batchQuanta)
-		}
-		assertSemanticallyEqual(t, "production", ref, prod)
-		refDir, prodDir := filepath.Join(t.TempDir(), "reference"), filepath.Join(t.TempDir(), "production")
-		writeExports(t, refDir, ref)
-		writeExports(t, prodDir, prod)
-		reports, err := relock.CompareTrees(refDir, prodDir, relock.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range reports {
-			if !r.OK() {
-				t.Errorf("%s: production diverged from the reference: %s", r.Path, r.Err)
-			}
-		}
-		assertEnergyConservation(t, "production", ps, prodOpts.Obs.Energy)
-		assertEnergyConservation(t, "reference", rs, refOpts.Obs.Energy)
-	})
-}
-
-// writeExports renders every export digestRun hashes into dir, one file
-// each, for the semantic differ.
-func writeExports(t *testing.T, dir string, res *Result) {
-	t.Helper()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	ob := res.Obs
-	text := func(f func() string) func(io.Writer) error {
-		return func(w io.Writer) error { _, err := io.WriteString(w, f()); return err }
-	}
-	for _, e := range []struct {
-		name  string
-		write func(io.Writer) error
+	for _, tc := range []struct {
+		name     string
+		opts     func(reference bool) Options
+		fastPath bool // production must engage every fast path
 	}{
-		{"series.csv", res.Rec.WriteCSV},
-		{"events.jsonl", ob.Log.WriteJSONL},
-		{"metrics.prom", ob.Metrics.WriteProm},
-		{"explain.txt", text(func() string { return obs.Report(ob.Log) })},
-		{"qtrace.json", ob.Trace.WritePerfetto},
-		{"phases.txt", text(ob.Trace.Report)},
-		{"eattr.jsonl", ob.Energy.WriteJSONL},
-		{"eattr-report.txt", text(ob.Energy.Report)},
+		{"busy", func(reference bool) Options {
+			o := shortECLOpts(7, allSinks())
+			o.Reference = reference
+			return o
+		}, false},
+		{"idle", stepEquivOptions, true},
 	} {
-		var buf bytes.Buffer
-		if err := e.write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.name), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			prodOpts, refOpts := tc.opts(false), tc.opts(true)
+			prod, ps, _ := digestRun(t, prodOpts)
+			ref, rs, _ := digestRun(t, refOpts)
+			if rs.idleWindows != 0 || rs.awakeWindows != 0 || rs.batchQuanta != 0 {
+				t.Errorf("reference engaged a fast path (idle %d, awake %d, batched quanta %d)",
+					rs.idleWindows, rs.awakeWindows, rs.batchQuanta)
+			}
+			engaged := ps.idleWindows != 0 && ps.awakeWindows != 0 && ps.batchQuanta != 0
+			idle := ps.idleWindows == 0 && ps.awakeWindows == 0 && ps.batchQuanta == 0
+			if tc.fastPath && !engaged || !tc.fastPath && !idle {
+				t.Errorf("production fast paths: idle %d, awake %d, batched quanta %d; want all engaged: %v",
+					ps.idleWindows, ps.awakeWindows, ps.batchQuanta, tc.fastPath)
+			}
+			if prod != ref {
+				t.Errorf("production digest diverged from the reference:\n  %x\n  %x", prod, ref)
+			}
+			assertEnergyConservation(t, "production", ps, prodOpts.Obs.Energy)
+			assertEnergyConservation(t, "reference", rs, refOpts.Obs.Energy)
+		})
 	}
 }
 
-// assertEnergyConservation asserts the attribution meter's two-part
-// conservation contract after a run: (1) the meter's integrated mirror
-// matches the machine's true RAPL counters bit for bit on EVERY step
-// path — Accrue is called once per counter-integration site with the
-// identical float terms in the identical order, so the mirror follows
-// whatever grouping (per-quantum or closed-form) the machine used; and
-// (2) the attributed partition is exact by the subtractive identity
-// integ − queries − control − residual == 0 per socket and domain (see
-// energyattr.ResidualJ for why the additive restatement is the wrong
-// check). It also guards against vacuity: the run must actually have
-// attributed query and control energy, observed queries, recorded spans,
-// and closed ledger records.
+// assertEnergyConservation asserts the attribution meter's conservation
+// contract after a run: the meter's integrated mirror equals the
+// machine's true RAPL counters on every step path (Accrue receives the
+// very nanojoules the counters add), and the attributed partition never
+// claims more than was integrated (the residual, integ − queries −
+// control in whole nanojoules, is non-negative). It also guards against
+// vacuity: the run must actually have attributed query and control
+// energy, observed queries, recorded spans, and closed ledger records.
 func assertEnergyConservation(t *testing.T, name string, s *Sim, m *energyattr.Meter) {
 	t.Helper()
 	for sock := 0; sock < s.topo.Sockets; sock++ {
@@ -177,12 +113,12 @@ func assertEnergyConservation(t *testing.T, name string, s *Sim, m *energyattr.M
 			integ := m.Integrated(sock, d.meter)
 			truth := s.machine.TrueEnergy(sock, d.hw)
 			if integ != truth {
-				t.Errorf("%s: socket %d %s meter integ %v != machine TrueEnergy %v (the mirror must be bitwise)",
+				t.Errorf("%s: socket %d %s meter integ %v != machine TrueEnergy %v",
 					name, sock, energyattr.DomainName(d.meter), integ, truth)
 			}
-			if part := integ - m.QueriesJ(sock, d.meter) - m.ControlJ(sock, d.meter) - m.ResidualJ(sock, d.meter); part != 0 {
-				t.Errorf("%s: socket %d %s partition leaks %v (subtractive identity must be exact)",
-					name, sock, energyattr.DomainName(d.meter), part)
+			if r := m.ResidualJ(sock, d.meter); r < 0 {
+				t.Errorf("%s: socket %d %s residual %v: the carve-outs claim more than was integrated",
+					name, sock, energyattr.DomainName(d.meter), r)
 			}
 		}
 	}
@@ -204,46 +140,6 @@ func assertEnergyConservation(t *testing.T, name string, s *Sim, m *energyattr.M
 	if !m.HasBaseline() || m.BaselineTotalJ() <= 0 {
 		t.Errorf("%s: frozen baseline never accrued (has=%v total=%v)", name, m.HasBaseline(), m.BaselineTotalJ())
 	}
-}
-
-// assertSemanticallyEqual is the in-process semantic check between the
-// reference float grouping and a batched run: every integer-exact
-// observable matches bit for bit, and the accumulated energies agree
-// within a tight relative epsilon (the regrouped sums differ only by
-// association of exact per-quantum terms).
-func assertSemanticallyEqual(t *testing.T, name string, ref, got *Result) {
-	t.Helper()
-	if got.Completed != ref.Completed || got.Submitted != ref.Submitted ||
-		got.Violations != ref.Violations {
-		t.Errorf("%s: query counters diverged from reference: completed %d/%d submitted %d/%d violations %d/%d",
-			name, got.Completed, ref.Completed, got.Submitted, ref.Submitted, got.Violations, ref.Violations)
-	}
-	if got.AvgLatency != ref.AvgLatency || got.P99Latency != ref.P99Latency {
-		t.Errorf("%s: latency summaries diverged from reference: avg %v/%v p99 %v/%v",
-			name, got.AvgLatency, ref.AvgLatency, got.P99Latency, ref.P99Latency)
-	}
-	if got.MostApplied != ref.MostApplied {
-		t.Errorf("%s: MostApplied diverged from reference: %q vs %q", name, got.MostApplied, ref.MostApplied)
-	}
-	if got.Duration != ref.Duration {
-		t.Errorf("%s: duration diverged from reference: %v vs %v", name, got.Duration, ref.Duration)
-	}
-	const eps = 1e-9
-	if relDelta(got.EnergyJ.Joules(), ref.EnergyJ.Joules()) > eps {
-		t.Errorf("%s: RAPL energy drifted beyond %.0e relative: %v vs %v", name, eps, got.EnergyJ, ref.EnergyJ)
-	}
-	if relDelta(got.PSUEnergyJ.Joules(), ref.PSUEnergyJ.Joules()) > eps {
-		t.Errorf("%s: PSU energy drifted beyond %.0e relative: %v vs %v", name, eps, got.PSUEnergyJ, ref.PSUEnergyJ)
-	}
-}
-
-// relDelta returns |a-b| / max(|a|, |b|), or 0 when both are zero.
-func relDelta(a, b float64) float64 {
-	m := math.Max(math.Abs(a), math.Abs(b))
-	if m == 0 {
-		return 0
-	}
-	return math.Abs(a-b) / m
 }
 
 // settleAllMax applies the full configuration to every socket and steps

@@ -125,10 +125,22 @@ func (j Joule) PerSeconds(sec float64) Watt { return Watt(float64(j) / sec) }
 // count (queries, instructions): h × span seconds.
 func (h Hertz) Over(d time.Duration) float64 { return float64(h) * d.Seconds() }
 
-// Quantize floors energy to a whole number of quanta: the RAPL counter
-// model exposes energy only in counter-resolution steps.
-func (j Joule) Quantize(q Joule) Joule {
-	return Joule(math.Floor(float64(j)/float64(q)) * float64(q))
+// NanojoulesOf constructs an energy amount from a whole nanojoule count,
+// the unit the hardware model's integer accumulators keep (1 W × 1 ns =
+// 1 nJ). The division is correctly rounded, so equal counts give equal
+// joules.
+func NanojoulesOf(nj int64) Joule { return Joule(float64(nj) / 1e9) }
+
+// Nanojoules rounds energy to the nearest whole nanojoule (halves round
+// up).
+func (j Joule) Nanojoules() int64 { return int64(math.Floor(float64(j)*1e9 + 0.5)) }
+
+// NanojoulesOver integrates constant power over a time span into whole
+// nanojoules: w × span nanoseconds, rounded once to the nearest integer
+// (halves round up). Integer accumulators add this term per quantum, so
+// a stretch of n equal quanta adds exactly n times it, in any grouping.
+func (w Watt) NanojoulesOver(d time.Duration) int64 {
+	return int64(math.Floor(float64(w)*float64(d) + 0.5))
 }
 
 // PerQuery divides a total energy over a query count, yielding the

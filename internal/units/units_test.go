@@ -34,9 +34,14 @@ func TestBitIdentity(t *testing.T) {
 	if got, want := JoulesOf(j).Div(JoulesOf(w)), j/w; got != want {
 		t.Errorf("Joule.Div: %v != %v", got, want)
 	}
-	const quantum = 1.0 / (1 << 16)
-	if got, want := JoulesOf(j).Quantize(JoulesOf(quantum)).Joules(), math.Floor(j/quantum)*quantum; got != want {
-		t.Errorf("Joule.Quantize: %v != %v", got, want)
+	if got, want := WattsOf(w).NanojoulesOver(seg), int64(math.Floor(w*float64(seg)+0.5)); got != want {
+		t.Errorf("Watt.NanojoulesOver: %v != %v", got, want)
+	}
+	if got, want := NanojoulesOf(1912000331000).Joules(), 1912000331000/1e9; got != want {
+		t.Errorf("NanojoulesOf: %v != %v", got, want)
+	}
+	if got := JoulesOf(j).Nanojoules(); got != 1912000331000 {
+		t.Errorf("Joule.Nanojoules: %v != 1912000331000", got)
 	}
 	if got, want := JoulesOf(j).Min(JoulesOf(w)).Joules(), math.Min(j, w); got != want {
 		t.Errorf("Joule.Min: %v != %v", got, want)
