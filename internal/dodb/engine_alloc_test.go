@@ -61,7 +61,9 @@ func TestStepSteadyStateAllocatesNothing(t *testing.T) {
 //     the table passes its 640 rows: during the warm-up only, which
 //     leaves each table between 3,072 and 4,096 rows;
 //   - storage.(*HashIndex32).grow, from execKVPut's Upsert of a fresh
-//     key: in AllocsPerRun's unmeasured first run.
+//     key: during the warm-up, since a kv index first grows at 86,016
+//     entries (8 growths in kv-indexed, 3 in the split's kv half; none
+//     in AllocsPerRun's two runs).
 //
 // Each is a table growing by its inserts, not a buffer of the
 // submit+drain cycle.

@@ -135,20 +135,40 @@ func TestHashIndexMatchesMap(t *testing.T) {
 }
 
 func TestHashIndexMemBytes(t *testing.T) {
-	// 100 entries need 128 buckets at the 7/8 load factor: an 8-byte slot
-	// and a state byte each.
+	// 100 entries need 128 buckets at the 7/8 load factor (96 hold only
+	// 84): an 8-byte slot and a state byte each.
 	h := NewHashIndex32(100)
 	if got, want := h.MemBytes(), 128*9; got != want {
 		t.Errorf("MemBytes = %d, want %d", got, want)
 	}
 }
 
+// onGrid reports whether n is a bucket count of the sizing grid
+// {2^k, 3·2^(k−1)}, at least minBuckets.
+func onGrid(n int) bool {
+	m := n
+	if m%3 == 0 {
+		m /= 3
+	}
+	return n >= minBuckets && m&(m-1) == 0
+}
+
+// gridBelow returns the grid size just below n.
+func gridBelow(n int) int {
+	if n&(n-1) == 0 {
+		return n / 4 * 3
+	}
+	return n / 3 * 2
+}
+
 // TestNewHashIndex32SizingContract checks the sizing rule the TATP and kv
 // partitions rely on: NewHashIndex32(c) takes in c distinct keys without
-// growing, and its bucket count is the smallest power of two, at least
-// minBuckets, whose 7/8 load admits c entries. The sweep covers every c
-// up to 100, a stride through 20,000, and both sides of each power of
-// two's growth threshold (7,168/7,169 for 8,192 buckets).
+// growing, and its bucket count is the smallest size on the grid
+// {2^k, 3·2^(k−1)}, at least minBuckets, whose 7/8 load admits c entries.
+// The sweep covers every c up to 100, a stride through 20,000, and both
+// sides of each grid size's growth threshold up to the kv partition's
+// (86,016/86,017 for 98,304 buckets). The insert that passes a threshold
+// doubles the index, which keeps it on the grid.
 func TestNewHashIndex32SizingContract(t *testing.T) {
 	var cs []int
 	for c := 0; c <= 100; c++ {
@@ -157,22 +177,29 @@ func TestNewHashIndex32SizingContract(t *testing.T) {
 	for c := 101; c <= 20000; c += 97 {
 		cs = append(cs, c)
 	}
-	for n := minBuckets; n*maxLoadNum/maxLoadDen <= 20000; n *= 2 {
-		edge := n * maxLoadNum / maxLoadDen
-		cs = append(cs, edge, edge+1)
+	edges := map[int]bool{}
+	for n := minBuckets; n <= 98304; n *= 2 {
+		for _, m := range []int{n, n / 2 * 3} {
+			edge := m * maxLoadNum / maxLoadDen
+			cs = append(cs, edge, edge+1)
+			edges[edge] = true
+		}
+	}
+	if !edges[86016] || !edges[7168] || !edges[5376] {
+		t.Fatalf("the sweep misses a partition's threshold: %v", edges)
 	}
 	for _, c := range cs {
 		h := NewHashIndex32(c)
 		bytes := h.MemBytes()
 		n := len(h.slots)
-		if n < minBuckets || n&(n-1) != 0 {
-			t.Fatalf("NewHashIndex32(%d): %d buckets, want a power of two >= %d", c, n, minBuckets)
+		if !onGrid(n) {
+			t.Fatalf("NewHashIndex32(%d): %d buckets, want a grid size >= %d", c, n, minBuckets)
 		}
 		if c*maxLoadDen > n*maxLoadNum {
 			t.Fatalf("NewHashIndex32(%d): %d buckets cannot hold %d entries at 7/8 load", c, n, c)
 		}
-		if n > minBuckets && c*maxLoadDen <= n/2*maxLoadNum {
-			t.Fatalf("NewHashIndex32(%d): %d buckets, but %d would hold %d entries", c, n, n/2, c)
+		if below := gridBelow(n); n > minBuckets && c*maxLoadDen <= below*maxLoadNum {
+			t.Fatalf("NewHashIndex32(%d): %d buckets, but %d would hold %d entries", c, n, below, c)
 		}
 		for k := 0; k < c; k++ {
 			h.GetOrInsert(uint32(k)*2654435761, uint32(k))
@@ -180,6 +207,12 @@ func TestNewHashIndex32SizingContract(t *testing.T) {
 		if h.Len() != c || h.MemBytes() != bytes {
 			t.Fatalf("NewHashIndex32(%d): %d inserts left Len %d and %d bytes, want %d and %d",
 				c, c, h.Len(), h.MemBytes(), c, bytes)
+		}
+		if edges[c] {
+			h.GetOrInsert(uint32(c)*2654435761, uint32(c))
+			if got := len(h.slots); got != 2*n || !onGrid(got) {
+				t.Fatalf("NewHashIndex32(%d): insert %d grew %d buckets to %d, want %d", c, c+1, n, got, 2*n)
+			}
 		}
 	}
 }

@@ -104,13 +104,16 @@ func TestKVCharacteristicsOpposite(t *testing.T) {
 }
 
 // TestKVPartitionFootprint pins the kv store's layout: a built partition
-// is one 131,072-bucket HashIndex32 (an 8-byte slot holding key and value,
+// is one 98,304-bucket HashIndex32 (an 8-byte slot holding key and value,
 // plus a state byte, per bucket) and nothing else. A store that reports
 // the same bytes as a fresh, empty one was preloaded without regrowing.
+// The index then admits at least 20,480 more inserts, which the run's
+// puts make (each upserts a fresh key), before it first grows, at
+// 86,016 entries.
 func TestKVPartitionFootprint(t *testing.T) {
 	for _, indexed := range []bool{true, false} {
 		st := NewKV(indexed).NewPartition(0, testRng()).(*storage.HashIndex32)
-		const want = 131072 * (8 + 1)
+		const want = 98304 * (8 + 1)
 		if got := st.MemBytes(); got != want {
 			t.Errorf("indexed=%v: MemBytes = %d, want %d", indexed, got, want)
 		}
@@ -120,6 +123,16 @@ func TestKVPartitionFootprint(t *testing.T) {
 		}
 		if st.Len() < kvRowsPerPartition-16 {
 			t.Errorf("indexed=%v: Len = %d, want about %d", indexed, st.Len(), kvRowsPerPartition)
+		}
+		const headroom = 20480
+		for i, inserted := 0, 0; inserted < headroom; i++ {
+			if _, fresh := st.GetOrInsert(uint32(i)*2654435761, 0); fresh {
+				inserted++
+			}
+		}
+		if st.MemBytes() != want {
+			t.Errorf("indexed=%v: %d inserts after preload grew the store to %d bytes",
+				indexed, headroom, st.MemBytes())
 		}
 	}
 }
@@ -155,7 +168,8 @@ func TestTATPPartitionFootprint(t *testing.T) {
 		seed    int64
 	}{{true, 7}, {false, 8}} {
 		// Column bytes per table, then the index bytes of the indexed
-		// variant: 8,192 buckets of 9 bytes for every keyed table.
+		// variant, 9 bytes a bucket: 6,144 buckets for subscriber's 4,096
+		// rows and 8,192 for the facility tables' 6,336.
 		want := map[string]int{
 			"subscriber":       4 * 4096 * 8,
 			"access_info":      2 * 6336 * 8,
@@ -163,7 +177,7 @@ func TestTATPPartitionFootprint(t *testing.T) {
 			"call_forwarding":  3 * 640 * 8,
 		}
 		if v.indexed {
-			want["subscriber"] += 8192 * 9
+			want["subscriber"] += 6144 * 9
 			want["access_info"] += 8192 * 9
 			want["special_facility"] += 8192 * 9
 		}

@@ -13,8 +13,8 @@
 #   ablations  the long internal/bench ablation and proportionality
 #              tests that -short skips (~10 s)
 #   fuzz       a fixed 10 s native-fuzzing budget on each of the
-#              replay-trace and energy-profile loaders and benchdiff's
-#              snapshot parser
+#              replay-trace and energy-profile loaders, benchdiff's
+#              snapshot parser and the hash index's probe kernel
 #   race       the byte-identical determinism test under the race
 #              detector, proving the core is goroutine-free at runtime;
 #              the production-vs-reference step-path byte-identity,
@@ -97,6 +97,13 @@ step "fuzz benchdiff snapshot (10 s)"
 # error or a snapshot that compares with itself as unchanged (seed corpus
 # in cmd/benchdiff/testdata/fuzz).
 go test -run=NONE -fuzz=FuzzLoadSnapshot -fuzztime=10s ./cmd/benchdiff
+
+step "fuzz HashIndex32 (10 s)"
+# The same budget over the hash index: decoded sequences of Upsert,
+# GetOrInsert, Get and MultiGet must answer as a map does, through
+# growth, the byte walk before the wrap and the probe's spurious
+# zero-byte flags (seed corpus in internal/storage/testdata/fuzz).
+go test -run=NONE -fuzz=FuzzHashIndex32 -fuzztime=10s ./internal/storage
 
 step "determinism under -race"
 go test -race -short -count=1 -run 'TestDeterminism' ./internal/sim
